@@ -348,8 +348,8 @@ func TestProducerChunkRecycling(t *testing.T) {
 
 // TestLegacyHeapSchedulerDeterministic pins the heap-based scheduler's
 // determinism: the same mix run twice must be identical (the heap's
-// (clock, core) ordering replicates the old linear scan exactly; the
-// golden-report CI gates additionally pin it to the historical bytes).
+// (clock, core) ordering replicates the old linear scan exactly;
+// TestEngineGolden additionally pins its counters to committed digests).
 func TestLegacyHeapSchedulerDeterministic(t *testing.T) {
 	cfg := TableI(4).BenchScale().WithWindows(10_000, 60_000).WithSDCLP()
 	names := []string{"pr", "cc", "bfs", "tc"}
