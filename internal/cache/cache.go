@@ -12,9 +12,9 @@
 // Concurrency contract (bound–weave engine, internal/sim/boundweave.go):
 // a Cache instance is single-goroutine — private caches (L1D, SDC, L2)
 // belong to their core's bound-phase goroutine, while the shared LLC is
-// mutated only by the serial weave replay (Lookup/Fill/MSHR calls in
-// replayLLCRead and friends). Nothing in this package locks; the engine
-// provides the isolation.
+// mutated only by the serial weave, which replays the bound phase's
+// events through the direct shared domain. Nothing in this package
+// locks; the engine provides the isolation.
 package cache
 
 import (

@@ -120,6 +120,15 @@ func New(cfg Config, onEvict EvictFunc) *SDCDir {
 	}
 }
 
+// SetOnEvict replaces the eviction callback and returns the previous
+// one. The bound–weave engine defers back-invalidations raised during
+// its weave replay this way.
+func (d *SDCDir) SetOnEvict(onEvict EvictFunc) EvictFunc {
+	prev := d.onEvict
+	d.onEvict = onEvict
+	return prev
+}
+
 // set returns the ways holding blk's set.
 func (d *SDCDir) set(blk mem.BlockAddr) []dirEntry {
 	si := int(uint64(blk) & d.setMask)

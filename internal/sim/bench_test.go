@@ -77,7 +77,14 @@ func BenchmarkPRKronStepSDCLP(b *testing.B) {
 // is visible in wall-clock.
 func TestHotLoopZeroAllocs(t *testing.T) {
 	recs := prRecords(t, 1<<18)
-	for _, cfg := range []Config{TableI(1).BenchScale(), TableI(1).BenchScale().WithSDCLP()} {
+	base := TableI(1).BenchScale()
+	for _, cfg := range []Config{
+		base,
+		base.WithSDCLP(),
+		base.WithBypassOnly(),
+		base.WithExpert(),
+		base.WithVictimCache(8).WithPrefetchers("pickle"),
+	} {
 		c := steadyCtx(t, cfg)
 		for _, r := range recs[:1<<16] {
 			c.observe(r)

@@ -19,14 +19,17 @@ import (
 // simulated core runs on its own host goroutine until its dispatch
 // clock reaches the quantum boundary, touching only private state —
 // core, L1D, victim cache, L2, SDC, TLBs, LP — plus *reads* of the
-// frozen shared structures (LLC, DRAM state, SDCDir). Every
-// shared-domain side effect (LLC lookup/fill/invalidate, DRAM access,
-// SDCDir transition) is buffered into the core's ordered event log with
-// a deterministic estimated latency. The serial *weave phase* then
+// frozen shared structures (LLC, DRAM state, SDCDir). The private walk
+// reaches the shared domain through the sharedDomain seam (system.go);
+// in the bound phase each core's seam is its *logged* bwCore, which
+// buffers every shared-domain side effect (LLC lookup/fill/invalidate,
+// DRAM access, SDCDir transition) into the core's ordered event log
+// with a deterministic estimated latency. The serial *weave phase* then
 // merges all logs in (timestamp, core, seq) order and replays them
-// against the real shared structures; the difference between actual and
-// estimated latency accumulates as per-core skew, charged to the core
-// as a dispatch stall at the quantum boundary.
+// through the *direct* seam on the System — the same LLC, write-back
+// and Pickle code the serial engines run; the difference between
+// actual and estimated latency accumulates as per-core skew, charged
+// to the core as a dispatch stall at the quantum boundary.
 //
 // One deliberate semantic difference from the legacy engine: a core
 // stops consuming its trace the moment its measurement window closes,
@@ -37,7 +40,7 @@ import (
 //
 // Determinism: the bound phase shares nothing mutable between cores
 // (each core's accesses stay inside its disjoint 1 TiB address window,
-// so even remote-cache probes are compile-time dead under this engine),
+// so the logged seam's remote probe and purge are empty),
 // the weave order is a pure function of the logs, and the worker count
 // only changes which host thread runs which independent bound task.
 // Reports are therefore byte-identical at any WeaveWorkers setting,
@@ -199,8 +202,9 @@ func newBWEngine(sys *System) *bwEngine {
 		eng.workers = runtime.GOMAXPROCS(0)
 	}
 	for i, c := range sys.cores {
-		c.bw = &bwCore{eng: eng, id: int32(i), overlay: make(map[mem.BlockAddr]bwLine)}
-		eng.cores = append(eng.cores, c.bw)
+		b := &bwCore{eng: eng, id: int32(i), overlay: make(map[mem.BlockAddr]bwLine)}
+		c.dom = b
+		eng.cores = append(eng.cores, b)
 		// Sweeps are engine-driven at quantum boundaries (the shared
 		// structures are only consistent there); disarm the per-core
 		// observeSlow trigger.
@@ -213,38 +217,6 @@ func newBWEngine(sys *System) *bwEngine {
 		}
 	}
 	return eng
-}
-
-// blockOwner returns the core whose address window blk belongs to.
-func blockOwner(blk mem.BlockAddr) int {
-	return int(uint64(blk) >> (mem.CoreSpaceBits - mem.BlockBits))
-}
-
-// shardDRAMWrite records a replay-time DRAM write-back in the owning
-// core's oracle shard (cross-core LLC victims land here).
-func (eng *bwEngine) shardDRAMWrite(blk mem.BlockAddr, ver uint64) {
-	if eng.sys.chk == nil {
-		return
-	}
-	if o := blockOwner(blk); o < len(eng.sys.cores) {
-		if k := eng.sys.cores[o].chk; k != nil {
-			k.DRAMWrite(blk, ver)
-		}
-	}
-}
-
-// shardDRAMRead reads the architectural DRAM version from the owning
-// core's oracle shard (pickle prefetch fills need it for SetVer).
-func (eng *bwEngine) shardDRAMRead(blk mem.BlockAddr) uint64 {
-	if eng.sys.chk == nil {
-		return 0
-	}
-	if o := blockOwner(blk); o < len(eng.sys.cores) {
-		if k := eng.sys.cores[o].chk; k != nil {
-			return k.DRAMRead(blk)
-		}
-	}
-	return 0
 }
 
 // deferEvict buffers an SDCDir capacity eviction raised during replay.
@@ -260,28 +232,11 @@ func (eng *bwEngine) deferEvict(blk mem.BlockAddr, sharers uint64) {
 func (eng *bwEngine) applyDeferredEvicts() {
 	s := eng.sys
 	for _, d := range eng.deferred {
-		for i := 0; i < s.cfg.Cores; i++ {
-			if d.sharers&(1<<i) == 0 {
-				continue
-			}
-			c := s.cores[i]
-			if c.sdc == nil {
-				continue
-			}
-			if cur, _, ok := s.sdcDir.Probe(d.blk); ok && cur&(1<<i) != 0 {
-				continue // re-added: still tracked
-			}
-			var ver uint64
-			if c.chk != nil {
-				ver = c.sdc.VerOf(d.blk)
-			}
-			if present, dirty := c.sdc.Invalidate(d.blk); present && dirty {
-				s.dram.Access(d.blk, true, c.cpuCore.Cycle())
-				if c.chk != nil {
-					c.chk.DRAMWrite(d.blk, ver)
-				}
-			}
+		sharers := d.sharers
+		if cur, _, ok := s.sdcDir.Probe(d.blk); ok {
+			sharers &^= cur // re-added: still tracked
 		}
+		s.onSDCDirEvict(d.blk, sharers)
 	}
 	eng.deferred = eng.deferred[:0]
 }
@@ -413,34 +368,33 @@ func (eng *bwEngine) weave() {
 	eng.quanta++
 }
 
-// replay applies one event to the shared structures and accumulates
-// latency skew for skew-bearing kinds (est > 0, non-prefetch).
+// replay applies one event to the shared structures through the direct
+// shared domain and accumulates latency skew for skew-bearing kinds
+// (est > 0, non-prefetch).
 func (eng *bwEngine) replay(e *bwEvent) {
 	s := eng.sys
+	c := s.cores[e.core]
+	pf := e.flag&bwFPf != 0
 	var actual int64
 	switch e.kind {
 	case bwEvLLCRead:
-		actual = eng.replayLLCRead(e)
+		fetch := fetchDRAM
+		if e.flag&bwFXfer != 0 {
+			fetch = fetchXfer
+		}
+		actual, _, _ = s.llcServe(c, e.blk, e.addr, e.size, pf, e.t, fetch, e.ver)
 	case bwEvLLCBypass:
 		actual = eng.replayLLCBypass(e)
 	case bwEvLLCWB:
-		v := s.llc.Fill(e.blk, e.blk.Addr(), mem.BlockSize, true, false, e.t)
-		s.llc.Stats.Writebacks++
-		if s.chk != nil {
-			s.llc.SetVer(e.blk, e.ver)
-		}
-		if v.Valid && v.Dirty {
-			s.dram.Access(v.Blk, true, e.t)
-			eng.shardDRAMWrite(v.Blk, v.Ver)
-		}
+		s.llcWriteback(c, e.blk, e.t, e.ver)
 		return
 	case bwEvLLCInval:
 		// Dirty data transferred into the logging core's SDC fill; the
 		// LLC copy is just dropped (move semantics, no write-back).
-		s.llc.Invalidate(e.blk)
+		s.llcInvalidate(c, e.blk, e.t)
 		return
 	case bwEvDRAMRead:
-		actual = s.dram.Access(e.blk, false, e.t)
+		actual = s.dramRead(c, e.blk, e.t, pf)
 	case bwEvDRAMWrite:
 		// Writes are posted: the bound phase already returned; only the
 		// bank/bus reservation is replayed. The oracle's DRAM-version
@@ -448,117 +402,26 @@ func (eng *bwEngine) replay(e *bwEvent) {
 		s.dram.Access(e.blk, true, e.t)
 		return
 	case bwEvDirLookup:
-		s.sdcDir.Lookup(e.blk)
+		s.dirLookup(c, e.blk, e.t)
 		return
 	case bwEvDirAdd:
-		s.sdcDir.AddSharer(e.blk, int(e.core), e.flag&bwFExcl != 0)
+		s.dirAdd(c, e.blk, e.t, e.flag&bwFExcl != 0)
 		return
 	case bwEvDirRemove:
-		s.sdcDir.RemoveSharer(e.blk, int(e.core))
+		s.dirRemove(c, e.blk, e.t)
 		return
 	case bwEvDirInvalAll:
-		s.sdcDir.InvalidateAll(e.blk)
+		s.dirInvalidateAll(c, e.blk, e.t)
 		return
 	}
-	if e.est > 0 && e.flag&bwFPf == 0 {
+	if e.est > 0 && !pf {
 		eng.cores[e.core].skew += actual - e.est
 	}
 }
 
-// replayLLCRead replays a bound-phase LLC read: the real lookup, MSHR
-// merge/allocate, downstream fetch (DRAM, or the SDC-transfer latency
-// for bwFXfer) and fill. A predicted hit normally hits here too; if a
-// cross-core replay eviction removed the line in the meantime, the read
-// refetches from DRAM with the logged version — functionally sound
-// (each window has a single writer, so any installed copy is
-// architecturally current) and deterministic.
-func (eng *bwEngine) replayLLCRead(e *bwEvent) int64 {
-	s := eng.sys
-	pf := e.flag&bwFPf != 0
-	res := s.llc.Lookup(e.blk, e.addr, e.size, false, pf, e.t)
-	if res.Hit {
-		return res.ReadyAt
-	}
-	t := res.ReadyAt
-	if m := s.llc.MSHR(); m != nil {
-		if ready, inflight := m.Lookup(e.blk, t); inflight {
-			s.llc.Stats.MergedMSHR++
-			return max64(ready, t)
-		}
-		t = m.Allocate(e.blk, t)
-	}
-	var ready int64
-	if e.flag&bwFXfer != 0 {
-		ready = t + s.sdcDir.Latency() + s.cfg.DirLatency/8
-	} else {
-		ready = s.dram.Access(e.blk, false, t)
-	}
-	v := s.llc.Fill(e.blk, e.addr, e.size, false, false, ready)
-	if s.chk != nil {
-		s.llc.SetVer(e.blk, e.ver)
-	}
-	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		eng.shardDRAMWrite(v.Blk, v.Ver)
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(e.blk, ready)
-	}
-
-	// Cross-core LLC prefetcher (the "pickle" preset): under
-	// bound–weave it observes demand misses here, during the serial
-	// (t,core,seq)-ordered replay, so training and issue order — and
-	// with them the LLC contents — are independent of -wj.
-	if s.llcpf != nil && e.flag&(bwFPf|bwFXfer) == 0 {
-		s.llcPfBuf = s.llcpf.OnAccess(mem.AccessInfo{Blk: e.blk, Addr: e.addr, Core: int(e.core)}, s.llcPfBuf[:0])
-		for _, cand := range s.llcPfBuf {
-			eng.llcPrefetch(cand, t)
-		}
-	}
-	return ready
-}
-
-// llcPrefetch fetches a pickle candidate into the shared LLC during the
-// serial weave replay, mirroring the legacy engine's llcPrefetch with
-// the oracle traffic routed to the owning core's shard.
-func (eng *bwEngine) llcPrefetch(blk mem.BlockAddr, t int64) {
-	s := eng.sys
-	if s.cores[0].anyCacheHolds(blk) {
-		return
-	}
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
-			return
-		}
-	}
-	if m := s.llc.MSHR(); m != nil {
-		if _, inflight := m.Lookup(blk, t); inflight {
-			return
-		}
-		if m.Outstanding(t) >= m.Capacity() {
-			return
-		}
-		m.Allocate(blk, t)
-	}
-	ready := s.dram.Access(blk, false, t)
-	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, false, true, ready)
-	s.llc.MarkPrefetchFill()
-	if s.chk != nil {
-		s.llc.SetVer(blk, eng.shardDRAMRead(blk))
-	}
-	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		eng.shardDRAMWrite(v.Blk, v.Ver)
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(blk, ready)
-	}
-}
-
 // replayLLCBypass replays a bypass-path access: a real lookup against
-// the LLC (no allocation on miss), falling back to DRAM exactly like
-// the legacy path when the bound phase's view hit was falsified by a
-// cross-core eviction.
+// the LLC (no allocation on miss), falling back to DRAM when the bound
+// phase's view hit was falsified by a cross-core eviction.
 func (eng *bwEngine) replayLLCBypass(e *bwEvent) int64 {
 	s := eng.sys
 	write := e.flag&bwFWrite != 0
@@ -569,13 +432,12 @@ func (eng *bwEngine) replayLLCBypass(e *bwEvent) int64 {
 		}
 		return res.ReadyAt
 	}
-	done := s.dram.Access(e.blk, write, e.t)
 	if write {
 		// The store's version now lands in DRAM instead of the LLC line.
-		eng.shardDRAMWrite(e.blk, e.ver)
-		done = e.t + 1
+		s.dramWrite(nil, e.blk, e.t, e.ver)
+		return e.t + 1
 	}
-	return done
+	return s.dram.Access(e.blk, false, e.t)
 }
 
 // sweepIfDue runs a structural invariant sweep when enough instructions
@@ -600,11 +462,15 @@ func (eng *bwEngine) sweepIfDue(final bool) {
 // deferred drain).
 func runBoundWeave(sys *System, ws []Workload, slots []*mcSlot) *MultiResult {
 	eng := newBWEngine(sys)
-	sys.bw = eng
+	if sys.sdcDir != nil {
+		// Replay-time capacity evictions: the bound phase that logged the
+		// quantum saw the SDC copies as live, so the back-invalidations
+		// wait for the weave's end (applyDeferredEvicts).
+		defer sys.sdcDir.SetOnEvict(sys.sdcDir.SetOnEvict(eng.deferEvict))
+	}
 	defer func() {
-		sys.bw = nil
 		for _, c := range sys.cores {
-			c.bw = nil
+			c.dom = sys
 		}
 	}()
 
@@ -665,184 +531,143 @@ func runBoundWeave(sys *System, ws []Workload, slots []*mcSlot) *MultiResult {
 	return res
 }
 
-// --- bound-phase shared-domain shims (called from system.go when
-// c.bw != nil) ---
+// --- the logged shared domain (sharedDomain for the bound phase) ---
+//
+// Every method answers from the core's view — its own overlay of
+// pending LLC changes over the frozen LLC — with deterministic
+// estimated latencies, and logs the operation for the weave. Under
+// disjoint per-core windows this core is the only possible sharer of
+// its blocks and no other core's private cache can hold them, so the
+// directory question is answered by the core's own SDC (the invariant
+// sweeps verify SDC ⟺ SDCDir) and the remote probe and purge are empty.
 
-// bwLLCView returns the core's current view of its own block in the
-// LLC: the quantum's private overlay first, then the frozen LLC. Only
-// the owning core ever asks about a block, so the view is never stale
-// in a way that matters: cross-core replay evictions can falsify a
-// predicted hit, which replayLLCRead repairs.
-func (c *coreCtx) bwLLCView(blk mem.BlockAddr) (present bool, ver uint64) {
-	if ln, ok := c.bw.overlay[blk]; ok {
+// llcCopy returns the core's view of its own block in the LLC: the
+// quantum's overlay first, then the frozen LLC. Cross-core replay
+// evictions can falsify a predicted hit, which the replay repairs by
+// refetching (fetchDRAM).
+func (b *bwCore) llcCopy(c *coreCtx, blk mem.BlockAddr) (bool, uint64) {
+	if ln, ok := b.overlay[blk]; ok {
 		return ln.present, ln.ver
 	}
-	s := c.sys
-	if s.llc.Probe(blk) {
-		return true, s.llc.VerOf(blk)
+	if llc := c.sys.llc; llc.Probe(blk) {
+		return true, llc.VerOf(blk)
 	}
 	return false, 0
 }
 
-// bwOverlaySet records a pending LLC view change.
-func (c *coreCtx) bwOverlaySet(blk mem.BlockAddr, present bool, ver uint64) {
-	c.bw.overlay[blk] = bwLine{present: present, ver: ver}
+func (b *bwCore) llcInvalidate(_ *coreCtx, blk mem.BlockAddr, t int64) {
+	b.logEv(bwEvent{kind: bwEvLLCInval, t: t, blk: blk})
+	b.overlay[blk] = bwLine{}
 }
 
-// llcHolds reports whether the LLC (through the bound-phase view when
-// active) holds blk.
-func (c *coreCtx) llcHolds(blk mem.BlockAddr) bool {
-	if c.bw != nil {
-		p, _ := c.bwLLCView(blk)
-		return p
-	}
-	p, _ := c.sys.llc.ProbeDirty(blk)
-	return p
+func (b *bwCore) llcWriteback(_ *coreCtx, blk mem.BlockAddr, t int64, ver uint64) {
+	b.logEv(bwEvent{kind: bwEvLLCWB, t: t, blk: blk, ver: ver})
+	b.overlay[blk] = bwLine{present: true, ver: ver}
 }
 
-// llcVer returns the (view-aware) LLC version stamp of blk.
-func (c *coreCtx) llcVer(blk mem.BlockAddr) uint64 {
-	if c.bw != nil {
-		if p, v := c.bwLLCView(blk); p {
-			return v
-		}
-		return 0
-	}
-	return c.sys.llc.VerOf(blk)
-}
-
-// bwDRAMRead logs a direct DRAM read and returns its estimated
-// completion; the weave replays it against the real bank/bus
-// reservations and charges the difference as skew (unless pf).
-func (c *coreCtx) bwDRAMRead(blk mem.BlockAddr, t int64, pf bool) int64 {
-	est := t + c.bw.eng.dramEst
+// dramRead returns the unloaded estimate; the weave charges the real
+// bank/bus reservation's difference as skew (unless pf).
+func (b *bwCore) dramRead(_ *coreCtx, blk mem.BlockAddr, t int64, pf bool) int64 {
+	est := t + b.eng.dramEst
 	var f uint8
 	if pf {
 		f = bwFPf
 	}
-	c.bw.logEv(bwEvent{kind: bwEvDRAMRead, t: t, est: est, blk: blk, flag: f})
+	b.logEv(bwEvent{kind: bwEvDRAMRead, t: t, est: est, blk: blk, flag: f})
 	return est
 }
 
-// bwDRAMWrite logs a posted DRAM write. The oracle's DRAM version map
-// is updated immediately in the core's own shard (program order);
-// replay only reserves bank/bus time.
-func (c *coreCtx) bwDRAMWrite(blk mem.BlockAddr, t int64, ver uint64) {
-	c.bw.logEv(bwEvent{kind: bwEvDRAMWrite, t: t, blk: blk, ver: ver})
+// dramWrite updates the oracle's DRAM version in the core's own shard
+// at once (program order); the replay only reserves bank/bus time.
+func (b *bwCore) dramWrite(c *coreCtx, blk mem.BlockAddr, t int64, ver uint64) {
+	b.logEv(bwEvent{kind: bwEvDRAMWrite, t: t, blk: blk, ver: ver})
 	if c.chk != nil {
 		c.chk.DRAMWrite(blk, ver)
 	}
 }
 
-// bwDirLookup logs a stats/LRU-bearing SDCDir lookup. The bound phase
-// answers the actual sharer question from its own SDC: under disjoint
-// per-core windows this core is the only possible sharer of its
-// blocks, so SDC presence ⟺ directory presence (the invariant sweeps
-// verify exactly that).
-func (c *coreCtx) bwDirLookup(blk mem.BlockAddr, t int64) {
-	c.bw.logEv(bwEvent{kind: bwEvDirLookup, t: t, blk: blk})
+func (b *bwCore) dirLookup(c *coreCtx, blk mem.BlockAddr, t int64) (uint64, bool) {
+	b.logEv(bwEvent{kind: bwEvDirLookup, t: t, blk: blk})
+	if c.sdc != nil && c.sdc.Probe(blk) {
+		return 1 << c.id, true
+	}
+	return 0, false
 }
 
-// bwDirAddSharer logs an AddSharer transition (exclusive on writes).
-func (c *coreCtx) bwDirAddSharer(blk mem.BlockAddr, t int64, excl bool) {
+func (b *bwCore) dirAdd(_ *coreCtx, blk mem.BlockAddr, t int64, excl bool) {
 	var f uint8
 	if excl {
 		f = bwFExcl
 	}
-	c.bw.logEv(bwEvent{kind: bwEvDirAdd, t: t, blk: blk, flag: f})
+	b.logEv(bwEvent{kind: bwEvDirAdd, t: t, blk: blk, flag: f})
 }
 
-// bwDirRemoveSharer logs a RemoveSharer transition (SDC eviction).
-func (c *coreCtx) bwDirRemoveSharer(blk mem.BlockAddr, t int64) {
-	c.bw.logEv(bwEvent{kind: bwEvDirRemove, t: t, blk: blk})
+func (b *bwCore) dirRemove(_ *coreCtx, blk mem.BlockAddr, t int64) {
+	b.logEv(bwEvent{kind: bwEvDirRemove, t: t, blk: blk})
 }
 
-// bwDirInvalidateAll logs an InvalidateAll (hierarchy took ownership).
-func (c *coreCtx) bwDirInvalidateAll(blk mem.BlockAddr, t int64) {
-	c.bw.logEv(bwEvent{kind: bwEvDirInvalAll, t: t, blk: blk})
+func (b *bwCore) dirInvalidateAll(_ *coreCtx, blk mem.BlockAddr, t int64) {
+	b.logEv(bwEvent{kind: bwEvDirInvalAll, t: t, blk: blk})
 }
 
-// bwLLCInvalidate logs an LLC purge and hides the copy from the view.
-func (c *coreCtx) bwLLCInvalidate(blk mem.BlockAddr, t int64) {
-	c.bw.logEv(bwEvent{kind: bwEvLLCInval, t: t, blk: blk})
-	c.bwOverlaySet(blk, false, 0)
-}
+func (b *bwCore) remoteCopy(*coreCtx, mem.BlockAddr) (bool, uint64) { return false, 0 }
 
-// bwAnyCacheHolds is the bound-phase anyCacheHolds: the LLC through the
-// view, plus this core's private caches. Remote privates need no probe
-// — they can never hold this core's blocks.
-func (c *coreCtx) bwAnyCacheHolds(blk mem.BlockAddr) bool {
-	if c.llcHolds(blk) {
-		return true
-	}
-	if c.l1d.Probe(blk) || c.l2.Probe(blk) {
-		return true
-	}
-	return c.victim != nil && c.victim.Probe(blk)
-}
+func (b *bwCore) purgeRemote(*coreCtx, mem.BlockAddr) {}
 
-// bwLLCAccess is the bound-phase llcAccess: it serves against the view
-// with deterministic estimated latencies and logs the real work for the
-// weave.
-func (c *coreCtx) bwLLCAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, pf bool, issue int64) mem.Response {
+// llcRead serves against the view with estimated latencies and logs
+// the read for the weave, which replays it through llcServe.
+func (b *bwCore) llcRead(c *coreCtx, blk mem.BlockAddr, addr mem.Addr, size uint8, pf bool, issue int64) mem.Response {
 	s := c.sys
 	var f uint8
 	if pf {
 		f = bwFPf
 	}
 
-	if present, hver := c.bwLLCView(blk); present {
+	if present, hver := b.llcCopy(c, blk); present {
 		est := issue + s.llc.Latency()
-		c.bw.logEv(bwEvent{kind: bwEvLLCRead, t: issue, est: est, blk: blk, addr: addr, size: size, ver: hver, flag: f})
-		if c.chk != nil {
-			c.verScratch = hver
-		}
+		b.logEv(bwEvent{kind: bwEvLLCRead, t: issue, est: est, blk: blk, addr: addr, size: size, ver: hver, flag: f})
+		c.verScratch = hver
 		return mem.Response{Ready: est, Source: mem.ServedLLC}
 	}
 
 	t := issue + s.llc.Latency() // miss still pays the lookup
 
-	// SDC-to-hierarchy transfer: under disjoint windows our own SDC is
-	// the only possible sharer, so the directory question is answered by
-	// a private probe; the directory's own transitions replay in order.
+	// SDC-to-hierarchy transfer: the directory question is answered by
+	// the core's own SDC; the directory transitions replay in order.
 	if s.sdcDir != nil && c.sdc != nil && c.sdc.Probe(blk) {
-		c.bwDirLookup(blk, t)
+		b.dirLookup(c, blk, t)
 		var ver uint64
 		if c.chk != nil {
 			ver = c.sdc.VerOf(blk)
 		}
 		if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-			c.bwDRAMWrite(blk, t, ver)
+			b.dramWrite(c, blk, t, ver)
 		}
-		c.bwDirInvalidateAll(blk, t)
+		b.dirInvalidateAll(c, blk, t)
 		ready := t + s.sdcDir.Latency() + s.cfg.DirLatency/8
-		c.bw.logEv(bwEvent{kind: bwEvLLCRead, t: t, est: ready, blk: blk, addr: addr, size: size, ver: ver, flag: f | bwFXfer})
-		c.bwOverlaySet(blk, true, ver)
-		if c.chk != nil {
-			c.verScratch = ver
-		}
+		b.logEv(bwEvent{kind: bwEvLLCRead, t: t, est: ready, blk: blk, addr: addr, size: size, ver: ver, flag: f | bwFXfer})
+		b.overlay[blk] = bwLine{present: true, ver: ver}
+		c.verScratch = ver
 		return mem.Response{Ready: ready, Source: mem.ServedSDC}
 	}
 
-	// Miss to DRAM. Remote private caches can never hold our blocks, so
-	// the legacy remote-probe loop is dead under this engine.
-	est := t + c.bw.eng.dramEst
+	// Miss to DRAM.
+	est := t + b.eng.dramEst
 	var ver uint64
 	if c.chk != nil {
 		ver = c.chk.DRAMRead(blk)
-		c.verScratch = ver
 	}
-	c.bw.logEv(bwEvent{kind: bwEvLLCRead, t: t, est: est, blk: blk, addr: addr, size: size, ver: ver, flag: f})
-	c.bwOverlaySet(blk, true, ver)
+	c.verScratch = ver
+	b.logEv(bwEvent{kind: bwEvLLCRead, t: t, est: est, blk: blk, addr: addr, size: size, ver: ver, flag: f})
+	b.overlay[blk] = bwLine{present: true, ver: ver}
 	return mem.Response{Ready: est, Source: mem.ServedDRAM}
 }
 
-// bwBypassShared is the bound-phase tail of bypassAccess after the
-// private L1D/L2 probes missed: LLC through the view, else DRAM, no
-// allocation anywhere.
-func (c *coreCtx) bwBypassShared(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool, t int64) mem.Response {
+// llcBypass serves the bypass tail against the view: LLC, else DRAM,
+// no allocation anywhere.
+func (b *bwCore) llcBypass(c *coreCtx, blk mem.BlockAddr, addr mem.Addr, size uint8, write bool, t int64) mem.Response {
 	s := c.sys
-	if present, hver := c.bwLLCView(blk); present {
+	if present, hver := b.llcCopy(c, blk); present {
 		at := t + c.l2.Latency()
 		est := at + s.llc.Latency()
 		var f uint8
@@ -854,12 +679,12 @@ func (c *coreCtx) bwBypassShared(blk mem.BlockAddr, addr mem.Addr, size uint8, w
 			f, skewEst = bwFWrite, 0
 			if c.chk != nil {
 				ver = c.chk.StoreAbsorbed(blk)
-				c.bwOverlaySet(blk, true, ver)
+				b.overlay[blk] = bwLine{present: true, ver: ver}
 			}
 		} else if c.chk != nil {
 			c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedLLC, hver)
 		}
-		c.bw.logEv(bwEvent{kind: bwEvLLCBypass, t: at, est: skewEst, blk: blk, addr: addr, size: size, ver: ver, flag: f})
+		b.logEv(bwEvent{kind: bwEvLLCBypass, t: at, est: skewEst, blk: blk, addr: addr, size: size, ver: ver, flag: f})
 		return mem.Response{Ready: est, Source: mem.ServedLLC}
 	}
 	if write {
@@ -867,10 +692,10 @@ func (c *coreCtx) bwBypassShared(blk mem.BlockAddr, addr mem.Addr, size uint8, w
 		if c.chk != nil {
 			ver = c.chk.StoreAbsorbed(blk)
 		}
-		c.bwDRAMWrite(blk, t, ver)
+		b.dramWrite(c, blk, t, ver)
 		return mem.Response{Ready: t + 1, Source: mem.ServedDRAM}
 	}
-	est := c.bwDRAMRead(blk, t, false)
+	est := b.dramRead(c, blk, t, false)
 	if c.chk != nil {
 		c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedDRAM, c.chk.DRAMRead(blk))
 	}

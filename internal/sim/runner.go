@@ -192,7 +192,7 @@ func (c *coreCtx) attachFR() {
 	if c.sdc != nil {
 		c.sdc.SetTap(r, mem.ServedSDC)
 	}
-	if c.sys.cfg.Cores == 1 && c.sys.bw == nil {
+	if c.sys.cfg.Cores == 1 && c.dom == c.sys {
 		c.sys.llc.SetTap(r, mem.ServedLLC)
 		c.sys.dram.SetTap(r)
 	}
@@ -240,7 +240,7 @@ func (c *coreCtx) closeFR() {
 	if c.sdc != nil {
 		c.sdc.SetTap(nil, mem.ServedNone)
 	}
-	if c.sys.cfg.Cores == 1 && c.sys.bw == nil {
+	if c.sys.cfg.Cores == 1 && c.dom == c.sys {
 		c.sys.llc.SetTap(nil, mem.ServedNone)
 		c.sys.dram.SetTap(nil)
 	}

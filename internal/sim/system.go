@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"graphmem/internal/cache"
 	"graphmem/internal/check"
@@ -45,11 +46,6 @@ type System struct {
 	dram   *dram.Memory
 	cores  []*coreCtx
 	chk    *check.Checker // nil unless cfg.CheckLevel != check.Off
-
-	// bw is the bound–weave engine while one is running this system
-	// (Config.Quantum > 0); nil under the legacy serial engines. Shared-
-	// domain paths consult it to defer their side effects to the weave.
-	bw *bwEngine
 
 	// llcpf is the shared cross-core LLC prefetcher (the "pickle"
 	// preset), nil otherwise. It observes demand misses from every core
@@ -149,11 +145,10 @@ type coreCtx struct {
 	// so the first record takes the slow path and arms it.
 	nextEvent int64
 
-	// bw is the core's bound–weave state while that engine runs (see
-	// boundweave.go); nil under the legacy serial engines. Every
-	// shared-domain routing path branches on it to buffer its effects
-	// into the quantum event log instead of mutating shared state.
-	bw *bwCore
+	// dom is the core's shared domain: the System itself (direct) under
+	// the serial engines, the core's bwCore (logged) during a
+	// bound–weave run.
+	dom sharedDomain
 
 	// Statistical-sampling state (warm.go / checkpoint.go). warmMode is
 	// warmOff for unsampled runs, making observe's extra cost one byte
@@ -214,7 +209,7 @@ func (p poptOracle) Rank(blk mem.BlockAddr) uint8 {
 
 // Rank implements cache.NextUseOracle.
 func (m *oracleMux) Rank(blk mem.BlockAddr) uint8 {
-	coreID := int(uint64(blk) >> (mem.CoreSpaceBits - mem.BlockBits))
+	coreID := blockOwner(blk)
 	if coreID < len(m.oracles) && m.oracles[coreID] != nil {
 		return m.oracles[coreID].Rank(blk)
 	}
@@ -270,7 +265,7 @@ func NewSystem(cfg Config, ws []Workload) *System {
 	}
 
 	for i := 0; i < cfg.Cores; i++ {
-		c := &coreCtx{id: i, sys: s, w: ws[i], nextEpoch: noEpoch, chk: s.chk, nextSweep: noEpoch, nextFR: noEpoch,
+		c := &coreCtx{id: i, sys: s, dom: s, w: ws[i], nextEpoch: noEpoch, chk: s.chk, nextSweep: noEpoch, nextFR: noEpoch,
 			nextSampleStart: noEpoch, nextSampleMeas: noEpoch, nextSampleEnd: noEpoch}
 		if cfg.Sampling.Enabled() {
 			// The warm-up itself runs under functional warming; detailed
@@ -383,37 +378,13 @@ func NewSystem(cfg Config, ws []Workload) *System {
 }
 
 // onSDCDirEvict implements the SDCDir replacement semantics of Section
-// III-C: every SDC holding the block invalidates it, writing back to
-// DRAM if dirty. The write-back is charged to the DRAM state at the
-// current approximate time (the owning core's clock).
+// III-C: every SDC in sharers invalidates the block, writing it back to
+// DRAM at its core's clock if dirty. Under functional warming the
+// write-back becomes a timeless row touch. The bound–weave engine calls
+// it at the end of each weave for the evictions its replay deferred.
 func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
-	if s.warming {
-		// Functional warming: the back-invalidation is real state the
-		// warm-up must reproduce, but the write-back becomes a timeless
-		// row touch instead of a timed DRAM access.
-		for i := 0; i < s.cfg.Cores; i++ {
-			if sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-				continue
-			}
-			if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-				s.dram.WarmTouch(blk)
-			}
-		}
-		return
-	}
-	if s.bw != nil {
-		// Replay-time capacity eviction: the bound phase that logged
-		// this quantum saw the SDC copies as live, so the invalidations
-		// are deferred to the weave's end (boundweave.go).
-		s.bw.deferEvict(blk, sharers)
-		return
-	}
-	for i := 0; i < s.cfg.Cores; i++ {
-		if sharers&(1<<i) == 0 {
-			continue
-		}
-		c := s.cores[i]
-		if c.sdc == nil {
+	for i, c := range s.cores {
+		if sharers&(1<<i) == 0 || c.sdc == nil {
 			continue
 		}
 		var ver uint64
@@ -421,12 +392,364 @@ func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 			ver = c.sdc.VerOf(blk)
 		}
 		if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-			s.dram.Access(blk, true, c.cpuCore.Cycle())
-			if s.chk != nil {
-				s.chk.DRAMWrite(blk, ver)
+			if s.warming {
+				s.dram.WarmTouch(blk)
+			} else {
+				s.dramWrite(c, blk, c.cpuCore.Cycle(), ver)
 			}
 		}
 	}
+}
+
+// sharedDomain is the seam between a core's private walk (L1D, victim
+// cache, SDC, L2, TLBs, LP) and the shared domain: the LLC, DRAM, the
+// SDCDir, and the other cores' private caches. The direct
+// implementation (*System, below) performs each operation at once; it
+// serves single-core runs and the serial interleaver, and the
+// bound–weave weave replays through it. The logged implementation
+// (*bwCore, boundweave.go) serves the bound phase: it answers from the
+// core's frozen view with estimated latencies and logs the operation
+// for the weave. t is the operation's arrival at the shared domain;
+// operations that take no time ignore it on the direct side.
+type sharedDomain interface {
+	// llcRead serves an L2 miss (demand, or prefetch when pf) and
+	// leaves the delivered version in c.verScratch.
+	llcRead(c *coreCtx, blk mem.BlockAddr, addr mem.Addr, size uint8, pf bool, issue int64) mem.Response
+	// llcWriteback installs a dirty L2 victim in the LLC.
+	llcWriteback(c *coreCtx, blk mem.BlockAddr, t int64, ver uint64)
+	// llcBypass serves a bypass-path access that missed the L1D and L2:
+	// from the LLC if it holds the block, else DRAM, allocating nowhere.
+	llcBypass(c *coreCtx, blk mem.BlockAddr, addr mem.Addr, size uint8, write bool, t int64) mem.Response
+	// llcCopy reports whether the LLC holds blk, and the copy's version
+	// in checked runs.
+	llcCopy(c *coreCtx, blk mem.BlockAddr) (held bool, ver uint64)
+	// llcInvalidate drops the LLC copy: an SDC write took ownership.
+	llcInvalidate(c *coreCtx, blk mem.BlockAddr, t int64)
+	// dramRead reads blk from DRAM and returns the completion time.
+	dramRead(c *coreCtx, blk mem.BlockAddr, t int64, pf bool) int64
+	// dramWrite posts a write-back of blk carrying version ver.
+	dramWrite(c *coreCtx, blk mem.BlockAddr, t int64, ver uint64)
+	// dirLookup is the stats-bearing SDCDir lookup; ok reports an entry.
+	dirLookup(c *coreCtx, blk mem.BlockAddr, t int64) (sharers uint64, ok bool)
+	// dirAdd, dirRemove and dirInvalidateAll are c's SDCDir transitions.
+	dirAdd(c *coreCtx, blk mem.BlockAddr, t int64, excl bool)
+	dirRemove(c *coreCtx, blk mem.BlockAddr, t int64)
+	dirInvalidateAll(c *coreCtx, blk mem.BlockAddr, t int64)
+	// remoteCopy probes the other cores' private stacks: held reports
+	// a copy, ver is the first holder's topmost version.
+	remoteCopy(c *coreCtx, blk mem.BlockAddr) (held bool, ver uint64)
+	// purgeRemote invalidates every other core's private copies.
+	purgeRemote(c *coreCtx, blk mem.BlockAddr)
+}
+
+// blockOwner returns the core whose address window blk belongs to.
+func blockOwner(blk mem.BlockAddr) int {
+	return int(uint64(blk) >> (mem.CoreSpaceBits - mem.BlockBits))
+}
+
+// chkOf returns the oracle that tracks blk, nil when checking is off:
+// the owning core's shard under bound–weave, which under the serial
+// engines is s.chk itself (every core shares it).
+func (s *System) chkOf(blk mem.BlockAddr) *check.Checker {
+	if s.chk == nil {
+		return nil
+	}
+	if o := blockOwner(blk); o < len(s.cores) {
+		return s.cores[o].chk
+	}
+	return s.chk
+}
+
+// LLC miss sources for llcServe.
+const (
+	// fetchCoherent is the direct read: the SDCDir, then the other
+	// cores' private caches, then DRAM.
+	fetchCoherent uint8 = iota
+	// fetchDRAM replays a bound-phase read from DRAM: a predicted miss,
+	// or the refetch of a predicted hit that an earlier replayed event
+	// evicted (sound: each window has a single writer, so the logged
+	// version is current).
+	fetchDRAM
+	// fetchXfer replays a bound-phase SDC-to-LLC transfer: the bound
+	// phase already moved the SDC copy and logged the directory
+	// transitions, so only the transfer hop is charged. Transfers do
+	// not train Pickle.
+	fetchXfer
+)
+
+// llcServe is the LLC read protocol both engines share: lookup, MSHR
+// merge or allocate, the miss fetch, then the miss tail (fill, version
+// stamp, dirty-victim write-back, MSHR release, Pickle training). ver
+// is the version a replayed fetch installs; the coherent fetch finds
+// its own. It returns the ready time, the serving level and the
+// delivered version.
+func (s *System) llcServe(c *coreCtx, blk mem.BlockAddr, addr mem.Addr, size uint8, pf bool, issue int64, fetch uint8, ver uint64) (int64, mem.ServedBy, uint64) {
+	res := s.llc.Lookup(blk, addr, size, false, pf, issue)
+	if res.Hit {
+		if s.chk != nil {
+			ver = s.llc.VerOf(blk)
+		}
+		return res.ReadyAt, mem.ServedLLC, ver
+	}
+	t := res.ReadyAt
+	if m := s.llc.MSHR(); m != nil {
+		if ready, inflight := m.Lookup(blk, t); inflight {
+			s.llc.Stats.MergedMSHR++
+			return max64(ready, t), mem.ServedDRAM, 0 // merged: delivered version unknown
+		}
+		t = m.Allocate(blk, t)
+	}
+
+	src := mem.ServedDRAM
+	switch fetch {
+	case fetchCoherent:
+		src, ver = s.llcMissSource(c, blk, t)
+	case fetchXfer:
+		src = mem.ServedSDC
+	}
+	var ready int64
+	switch src {
+	case mem.ServedSDC:
+		ready = t + s.sdcDir.Latency() + s.cfg.DirLatency/8
+	case mem.ServedRemote:
+		ready = t + s.cfg.DirLatency/2
+	default:
+		ready = s.dram.Access(blk, false, t)
+		if k := s.chkOf(blk); k != nil && fetch == fetchCoherent {
+			ver = k.DRAMRead(blk)
+		}
+	}
+
+	v := s.llc.Fill(blk, addr, size, false, false, ready)
+	if s.chk != nil {
+		s.llc.SetVer(blk, ver)
+	}
+	if v.Valid && v.Dirty {
+		s.dramWrite(c, v.Blk, ready, v.Ver)
+	}
+	if m := s.llc.MSHR(); m != nil {
+		m.Complete(blk, ready)
+	}
+
+	// Cross-core LLC prefetcher (the "pickle" preset): it trains on
+	// every core's demand misses here and issues into the shared level.
+	// Both engines run this serially — the interleaver in its global
+	// order, bound–weave in its (t, core, seq) replay — so its state is
+	// independent of -wj.
+	if s.llcpf != nil && !pf && fetch != fetchXfer {
+		s.llcPfBuf = s.llcpf.OnAccess(mem.AccessInfo{Addr: addr, Blk: blk, Core: c.id}, s.llcPfBuf[:0])
+		for _, cand := range s.llcPfBuf {
+			s.llcPrefetch(cand, t)
+		}
+	}
+	return ready, src, ver
+}
+
+// llcMissSource finds a direct LLC miss's data outside the LLC. SDC
+// copies transfer over and are invalidated so the hierarchy becomes
+// the owner (dirty ones are written back); else a remote private copy
+// serves it; else DRAM.
+func (s *System) llcMissSource(c *coreCtx, blk mem.BlockAddr, t int64) (mem.ServedBy, uint64) {
+	if s.sdcDir != nil {
+		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
+			var ver uint64
+			for i, rc := range s.cores {
+				if sharers&(1<<i) == 0 || rc.sdc == nil {
+					continue
+				}
+				if s.chk != nil && ver == 0 {
+					ver = rc.sdc.VerOf(blk)
+				}
+				if present, dirty := rc.sdc.Invalidate(blk); present && dirty {
+					s.dramWrite(c, blk, t, ver)
+				}
+			}
+			s.sdcDir.InvalidateAll(blk)
+			return mem.ServedSDC, ver
+		}
+	}
+	if held, ver := s.remoteCopy(c, blk); held {
+		return mem.ServedRemote, ver
+	}
+	return mem.ServedDRAM, 0
+}
+
+// llcPrefetch fetches a Pickle candidate into the shared LLC. The block
+// must be absent from the whole hierarchy (a shared-level fill above a
+// private dirty copy would shadow it in lookup order) and from every
+// SDC (the SDCDir owns those blocks).
+func (s *System) llcPrefetch(blk mem.BlockAddr, now int64) {
+	if s.anyCacheHolds(blk) {
+		return
+	}
+	if s.sdcDir != nil {
+		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
+			return
+		}
+	}
+	if m := s.llc.MSHR(); m != nil {
+		if _, inflight := m.Lookup(blk, now); inflight {
+			return
+		}
+		if m.Outstanding(now) >= m.Capacity() {
+			return
+		}
+		m.Allocate(blk, now)
+	}
+	ready := s.dram.Access(blk, false, now)
+	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, false, true, ready)
+	s.llc.MarkPrefetchFill()
+	if k := s.chkOf(blk); k != nil {
+		s.llc.SetVer(blk, k.DRAMRead(blk))
+	}
+	if v.Valid && v.Dirty {
+		s.dramWrite(nil, v.Blk, ready, v.Ver)
+	}
+	if m := s.llc.MSHR(); m != nil {
+		m.Complete(blk, ready)
+	}
+}
+
+// anyCacheHolds reports whether the LLC or any core's private stack
+// holds blk.
+func (s *System) anyCacheHolds(blk mem.BlockAddr) bool {
+	if s.llc.Probe(blk) {
+		return true
+	}
+	held, _ := s.remoteCopy(nil, blk)
+	return held
+}
+
+// --- the direct shared domain ---
+
+func (s *System) llcRead(c *coreCtx, blk mem.BlockAddr, addr mem.Addr, size uint8, pf bool, issue int64) mem.Response {
+	ready, src, ver := s.llcServe(c, blk, addr, size, pf, issue, fetchCoherent, 0)
+	c.verScratch = ver
+	return mem.Response{Ready: ready, Source: src}
+}
+
+func (s *System) llcWriteback(c *coreCtx, blk mem.BlockAddr, t int64, ver uint64) {
+	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, true, false, t)
+	s.llc.Stats.Writebacks++
+	if s.chk != nil {
+		s.llc.SetVer(blk, ver)
+	}
+	if v.Valid && v.Dirty {
+		s.dramWrite(c, v.Blk, t, v.Ver)
+	}
+}
+
+func (s *System) llcBypass(c *coreCtx, blk mem.BlockAddr, addr mem.Addr, size uint8, write bool, t int64) mem.Response {
+	if s.llc.Probe(blk) {
+		r := s.llc.Lookup(blk, addr, size, write, false, t+c.l2.Latency())
+		c.checkCacheHit(s.llc, blk, mem.ServedLLC, write)
+		return mem.Response{Ready: r.ReadyAt, Source: mem.ServedLLC}
+	}
+	done := s.dram.Access(blk, write, t)
+	if write {
+		done = t + 1 // write-through to DRAM, off the critical path
+	}
+	if c.chk != nil {
+		if write {
+			c.chk.DRAMWrite(blk, c.chk.StoreAbsorbed(blk))
+		} else {
+			c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedDRAM, c.chk.DRAMRead(blk))
+		}
+	}
+	return mem.Response{Ready: done, Source: mem.ServedDRAM}
+}
+
+func (s *System) llcCopy(_ *coreCtx, blk mem.BlockAddr) (bool, uint64) {
+	if !s.llc.Probe(blk) {
+		return false, 0
+	}
+	if s.chk == nil {
+		return true, 0
+	}
+	return true, s.llc.VerOf(blk)
+}
+
+func (s *System) llcInvalidate(_ *coreCtx, blk mem.BlockAddr, _ int64) { s.llc.Invalidate(blk) }
+
+func (s *System) dramRead(_ *coreCtx, blk mem.BlockAddr, t int64, _ bool) int64 {
+	return s.dram.Access(blk, false, t)
+}
+
+func (s *System) dramWrite(_ *coreCtx, blk mem.BlockAddr, t int64, ver uint64) {
+	s.dram.Access(blk, true, t)
+	if k := s.chkOf(blk); k != nil {
+		k.DRAMWrite(blk, ver)
+	}
+}
+
+func (s *System) dirLookup(_ *coreCtx, blk mem.BlockAddr, _ int64) (uint64, bool) {
+	sharers, _, ok := s.sdcDir.Lookup(blk)
+	return sharers, ok
+}
+
+func (s *System) dirAdd(c *coreCtx, blk mem.BlockAddr, _ int64, excl bool) {
+	s.sdcDir.AddSharer(blk, c.id, excl)
+}
+
+func (s *System) dirRemove(c *coreCtx, blk mem.BlockAddr, _ int64) { s.sdcDir.RemoveSharer(blk, c.id) }
+
+func (s *System) dirInvalidateAll(_ *coreCtx, blk mem.BlockAddr, _ int64) {
+	s.sdcDir.InvalidateAll(blk)
+}
+
+func (s *System) remoteCopy(c *coreCtx, blk mem.BlockAddr) (bool, uint64) {
+	for _, rc := range s.cores {
+		if rc == c {
+			continue
+		}
+		if top, ver := rc.privateCopy(blk); top != nil {
+			return true, ver
+		}
+	}
+	return false, 0
+}
+
+func (s *System) purgeRemote(c *coreCtx, blk mem.BlockAddr) {
+	for _, rc := range s.cores {
+		if rc != c {
+			rc.purgePrivate(blk)
+		}
+	}
+}
+
+// privateCopy probes c's private stack top-down — L1D, victim cache,
+// L2 — without touching state. top is the topmost cache holding blk
+// (nil when none does); ver is the first version stamp found top-down
+// (checked runs only, 0 when unknown).
+func (c *coreCtx) privateCopy(blk mem.BlockAddr) (top *cache.Cache, ver uint64) {
+	switch {
+	case c.l1d.Probe(blk):
+		top = c.l1d
+	case c.victim != nil && c.victim.Probe(blk):
+		top = c.victim
+	case c.l2.Probe(blk):
+		top = c.l2
+	default:
+		return nil, 0
+	}
+	if c.chk != nil { // VerOf is 0 where the block is absent
+		if ver = c.l1d.VerOf(blk); ver == 0 && c.victim != nil {
+			ver = c.victim.VerOf(blk)
+		}
+		if ver == 0 {
+			ver = c.l2.VerOf(blk)
+		}
+	}
+	return top, ver
+}
+
+// purgePrivate invalidates every copy of blk in c's private stack.
+func (c *coreCtx) purgePrivate(blk mem.BlockAddr) {
+	c.l1d.Invalidate(blk)
+	if c.victim != nil {
+		c.victim.Invalidate(blk)
+	}
+	c.l2.Invalidate(blk)
 }
 
 // isIrregular applies the Expert Programmer classification.
@@ -515,7 +838,6 @@ func (c *coreCtx) walkRead(addr mem.Addr, now int64) int64 {
 // with no SDC. Cached copies in the local hierarchy still serve the
 // access for correctness.
 func (c *coreCtx) bypassAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool, issue int64) mem.Response {
-	s := c.sys
 	res := c.l1d.Lookup(blk, addr, size, write, false, issue)
 	if res.Hit {
 		c.checkCacheHit(c.l1d, blk, mem.ServedL1D, write)
@@ -527,26 +849,7 @@ func (c *coreCtx) bypassAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, wri
 		c.checkCacheHit(c.l2, blk, mem.ServedL2, write)
 		return mem.Response{Ready: r.ReadyAt, Source: mem.ServedL2}
 	}
-	if c.bw != nil {
-		return c.bwBypassShared(blk, addr, size, write, t)
-	}
-	if present, _ := s.llc.ProbeDirty(blk); present {
-		r := s.llc.Lookup(blk, addr, size, write, false, t+c.l2.Latency())
-		c.checkCacheHit(s.llc, blk, mem.ServedLLC, write)
-		return mem.Response{Ready: r.ReadyAt, Source: mem.ServedLLC}
-	}
-	done := s.dram.Access(blk, write, t)
-	if write {
-		done = t + 1 // write-through to DRAM, off the critical path
-	}
-	if c.chk != nil {
-		if write {
-			c.chk.DRAMWrite(blk, c.chk.StoreAbsorbed(blk))
-		} else {
-			c.chk.CheckLoad(c.id, c.curPC, blk, mem.ServedDRAM, c.chk.DRAMRead(blk))
-		}
-	}
-	return mem.Response{Ready: done, Source: mem.ServedDRAM}
+	return c.dom.llcBypass(c, blk, addr, size, write, t)
 }
 
 // checkCacheHit applies the oracle to a demand hit in a cache: a load
@@ -570,24 +873,15 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 	res := c.sdc.Lookup(blk, addr, size, write, false, issue)
 	if res.Hit {
 		if write {
-			if c.bw != nil {
-				// Disjoint per-core windows: no other SDC can share the
-				// line, so the upgrade is just the directory round.
-				c.bwDirLookup(blk, res.ReadyAt)
-				c.bwDirAddSharer(blk, res.ReadyAt, true)
-			} else {
-				// A write upgrade: any other SDC sharing the line must
-				// invalidate its copy before we own it Modified.
-				if sharers, _, ok := s.sdcDir.Lookup(blk); ok {
-					for i := range s.cores {
-						if i == c.id || sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-							continue
-						}
-						s.cores[i].sdc.Invalidate(blk)
-					}
+			// A write upgrade: any other SDC sharing the line must
+			// invalidate its copy before we own it Modified.
+			sharers, _ := c.dom.dirLookup(c, blk, res.ReadyAt)
+			for m := sharers &^ (1 << c.id); m != 0; m &= m - 1 {
+				if rc := s.cores[bits.TrailingZeros64(m)]; rc.sdc != nil {
+					rc.sdc.Invalidate(blk)
 				}
-				s.sdcDir.AddSharer(blk, c.id, true)
 			}
+			c.dom.dirAdd(c, blk, res.ReadyAt, true)
 		}
 		c.checkCacheHit(c.sdc, blk, mem.ServedSDC, write)
 		return mem.Response{Ready: res.ReadyAt, Source: mem.ServedSDC}
@@ -615,13 +909,8 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 	// their own latency rather than a full directory round.
 	dirDone := t + s.cfg.DirLatency
 
-	// (a) Our own or a remote SDC holds it. Under the bound–weave
-	// engine our own SDC just missed and no remote SDC can hold our
-	// blocks (disjoint windows), so only the directory round's
-	// stats/LRU are logged; the branch itself is dead.
-	if c.bw != nil {
-		c.bwDirLookup(blk, t)
-	} else if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
+	// (a) Our own or a remote SDC holds it.
+	if sharers, _ := c.dom.dirLookup(c, blk, t); sharers != 0 {
 		ready := c.serveFromSDCs(blk, addr, size, write, sharers, dirDone)
 		if m := c.sdc.MSHR(); m != nil {
 			m.Complete(blk, ready)
@@ -643,13 +932,7 @@ func (c *coreCtx) sdcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write 
 
 	// (c) DRAM, bypassing L2 and LLC. The row access was launched in
 	// parallel with the directory check.
-	var dramDone int64
-	if c.bw != nil {
-		dramDone = c.bwDRAMRead(blk, t, false)
-	} else {
-		dramDone = s.dram.Access(blk, false, t)
-	}
-	ready := max64(dramDone, dirDone)
+	ready := max64(c.dom.dramRead(c, blk, t, false), dirDone)
 	var ver uint64
 	if c.chk != nil {
 		ver = c.chk.DRAMRead(blk)
@@ -694,13 +977,10 @@ func (c *coreCtx) serveFromSDCs(blk mem.BlockAddr, addr mem.Addr, size uint8, wr
 				ver = s.cores[i].sdc.VerOf(blk)
 			}
 			if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-				s.dram.Access(blk, true, t)
-				if c.chk != nil {
-					c.chk.DRAMWrite(blk, ver)
-				}
+				c.dom.dramWrite(c, blk, t, ver)
 			}
 		}
-		s.sdcDir.InvalidateAll(blk)
+		c.dom.dirInvalidateAll(c, blk, t)
 		var fillVer uint64
 		if c.chk != nil {
 			fillVer = c.chk.StoreAbsorbed(blk)
@@ -743,38 +1023,27 @@ func (c *coreCtx) serveFromSDCs(blk mem.BlockAddr, addr mem.Addr, size uint8, wr
 // dirty data transfers into the SDC fill (no DRAM write-back needed —
 // the SDC copy becomes the owner).
 func (c *coreCtx) serveFromHierarchy(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool, t int64) (ready int64, found bool, src mem.ServedBy) {
-	s := c.sys
-	// Locate the closest (topmost) copy for latency, provenance and
-	// the served version: the requester's own private stack is probed
-	// top-down on the way to the directory and serves at its own
-	// latency (negative lat relative to the directory round).
+	s, d := c.sys, c.dom
+	// Locate the closest (topmost) copy for latency and provenance: the
+	// requester's own private stack is probed top-down on the way to
+	// the directory and serves at its own latency (negative lat
+	// relative to the directory round).
 	var lat int64
-	src = mem.ServedNone
-	if p, _ := c.l1d.ProbeDirty(blk); p {
-		lat, src = c.l1d.Latency()-s.cfg.DirLatency, mem.ServedL1D
-	} else if c.victim != nil && c.victim.Probe(blk) {
-		lat, src = c.victim.Latency()+c.l1d.Latency()-s.cfg.DirLatency, mem.ServedL1D
-	} else if p, _ := c.l2.ProbeDirty(blk); p {
-		lat, src = c.l2.Latency()-s.cfg.DirLatency, mem.ServedL2
-	} else if c.llcHolds(blk) {
-		lat, src = 0, mem.ServedLLC
-	} else if c.bw == nil {
-		// Remote privates can never hold this core's blocks under the
-		// bound–weave engine (disjoint windows), so the probe loop only
-		// runs under the legacy engines.
-		for i := range s.cores {
-			if i == c.id {
-				continue
-			}
-			rc := s.cores[i]
-			if rc.l1d.Probe(blk) || (rc.victim != nil && rc.victim.Probe(blk)) || rc.l2.Probe(blk) {
-				lat, src = s.cfg.DirLatency/2, mem.ServedRemote
-				break
-			}
+	switch top, _ := c.privateCopy(blk); top {
+	case nil:
+		if held, _ := d.llcCopy(c, blk); held {
+			src = mem.ServedLLC
+		} else if held, _ := d.remoteCopy(c, blk); held {
+			lat, src = s.cfg.DirLatency/2, mem.ServedRemote
+		} else {
+			return 0, false, mem.ServedNone
 		}
-	}
-	if src == mem.ServedNone {
-		return 0, false, mem.ServedNone
+	case c.l1d:
+		lat, src = c.l1d.Latency()-s.cfg.DirLatency, mem.ServedL1D
+	case c.l2:
+		lat, src = c.l2.Latency()-s.cfg.DirLatency, mem.ServedL2
+	default: // the victim cache
+		lat, src = c.victim.Latency()+c.l1d.Latency()-s.cfg.DirLatency, mem.ServedL1D
 	}
 	ready = t + lat
 
@@ -793,26 +1062,9 @@ func (c *coreCtx) serveFromHierarchy(blk mem.BlockAddr, addr mem.Addr, size uint
 
 	// Write: purge every copy. Dirty data is not written back — it
 	// transfers into the (dirty) SDC fill, which supersedes it.
-	purge := func(ch *cache.Cache) {
-		if ch != nil {
-			ch.Invalidate(blk)
-		}
-	}
-	if c.bw != nil {
-		// The LLC purge replays in the weave; only our own private
-		// copies exist otherwise.
-		c.bwLLCInvalidate(blk, ready)
-		purge(c.l1d)
-		purge(c.victim)
-		purge(c.l2)
-	} else {
-		purge(s.llc)
-		for _, rc := range s.cores {
-			purge(rc.l1d)
-			purge(rc.victim)
-			purge(rc.l2)
-		}
-	}
+	c.purgePrivate(blk)
+	d.llcInvalidate(c, blk, ready)
+	d.purgeRemote(c, blk)
 
 	if c.chk != nil {
 		ver = c.chk.StoreAbsorbed(blk)
@@ -825,36 +1077,14 @@ func (c *coreCtx) serveFromHierarchy(blk mem.BlockAddr, addr mem.Addr, size uint
 // blk (own stack top-down, then the LLC, then remote stacks), 0 if
 // unknown everywhere.
 func (c *coreCtx) hierarchyVer(blk mem.BlockAddr) uint64 {
-	s := c.sys
-	for _, ch := range []*cache.Cache{c.l1d, c.victim, c.l2} {
-		if ch == nil {
-			continue
-		}
-		if v := ch.VerOf(blk); v != 0 {
-			return v
-		}
-	}
-	if v := c.llcVer(blk); v != 0 {
+	if _, v := c.privateCopy(blk); v != 0 {
 		return v
 	}
-	if c.bw != nil {
-		return 0 // remote privates never hold this core's blocks
+	if _, v := c.dom.llcCopy(c, blk); v != 0 {
+		return v
 	}
-	for i := range s.cores {
-		if i == c.id {
-			continue
-		}
-		rc := s.cores[i]
-		for _, ch := range []*cache.Cache{rc.l1d, rc.victim, rc.l2} {
-			if ch == nil {
-				continue
-			}
-			if v := ch.VerOf(blk); v != 0 {
-				return v
-			}
-		}
-	}
-	return 0
+	_, v := c.dom.remoteCopy(c, blk)
+	return v
 }
 
 // fillSDC inserts a block into the SDC, handling victim write-back and
@@ -863,36 +1093,22 @@ func (c *coreCtx) hierarchyVer(blk mem.BlockAddr) uint64 {
 // entry Modified with this core as sole owner. ver is the
 // architectural version stamp (0 when checking is off or unknown).
 func (c *coreCtx) fillSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, dirty bool, ready int64, ver uint64) {
-	s := c.sys
 	v := c.sdc.Fill(blk, addr, size, dirty, false, ready)
 	if c.chk != nil {
 		c.sdc.SetVer(blk, ver)
 	}
-	if c.bw != nil {
-		if v.Valid {
-			c.bwDirRemoveSharer(v.Blk, ready)
-			if v.Dirty {
-				c.bwDRAMWrite(v.Blk, ready, v.Ver)
-			}
-		}
-		c.bwDirAddSharer(blk, ready, dirty)
-		return
-	}
 	if v.Valid {
-		s.sdcDir.RemoveSharer(v.Blk, c.id)
+		c.dom.dirRemove(c, v.Blk, ready)
 		if v.Dirty {
-			s.dram.Access(v.Blk, true, ready)
-			if c.chk != nil {
-				c.chk.DRAMWrite(v.Blk, v.Ver)
-			}
+			c.dom.dramWrite(c, v.Blk, ready, v.Ver)
 		}
 	}
-	s.sdcDir.AddSharer(blk, c.id, dirty)
+	c.dom.dirAdd(c, blk, ready, dirty)
 }
 
 // sdcPrefetch fetches a next-line candidate into the SDC from DRAM.
 func (c *coreCtx) sdcPrefetch(blk mem.BlockAddr, now int64) {
-	s := c.sys
+	d := c.dom
 	if c.sdc.Probe(blk) {
 		return
 	}
@@ -904,56 +1120,33 @@ func (c *coreCtx) sdcPrefetch(blk mem.BlockAddr, now int64) {
 			return // never stall for a prefetch
 		}
 		m.Allocate(blk, now)
+		// Released at issue: the entry never carries the fill's
+		// completion time, since this deferred call would overwrite a
+		// fill-time Complete. A modelling deviation (DESIGN.md, "Key
+		// fidelity notes") whose fix changes results.
 		defer m.Complete(blk, now)
 	}
 	// Skip candidates other agents hold; a real design would take the
 	// coherent path, but dropping the prefetch is always safe.
-	if c.bw != nil {
-		// Our SDC (the only possible sharer of our blocks) missed the
-		// probe above, so the directory round is stats/LRU only.
-		c.bwDirLookup(blk, now)
-		if c.bwAnyCacheHolds(blk) {
-			return
-		}
-	} else {
-		if _, _, held := s.sdcDir.Lookup(blk); held {
-			return
-		}
-		if c.anyCacheHolds(blk) {
-			return
-		}
+	if _, held := d.dirLookup(c, blk, now); held {
+		return
 	}
-	var done int64
-	if c.bw != nil {
-		done = c.bwDRAMRead(blk, now, true)
-	} else {
-		done = s.dram.Access(blk, false, now)
+	if held, _ := d.llcCopy(c, blk); held {
+		return
 	}
+	if top, _ := c.privateCopy(blk); top != nil {
+		return
+	}
+	if held, _ := d.remoteCopy(c, blk); held {
+		return
+	}
+	done := d.dramRead(c, blk, now, true)
 	var ver uint64
 	if c.chk != nil {
 		ver = c.chk.DRAMRead(blk)
 	}
 	c.fillSDC(blk, blk.Addr(), mem.BlockSize, false, done, ver)
 	c.sdc.MarkPrefetchFill()
-	if m := c.sdc.MSHR(); m != nil {
-		m.Complete(blk, done)
-	}
-}
-
-func (c *coreCtx) anyCacheHolds(blk mem.BlockAddr) bool {
-	s := c.sys
-	if s.llc.Probe(blk) {
-		return true
-	}
-	for _, rc := range s.cores {
-		if rc.l1d.Probe(blk) || rc.l2.Probe(blk) {
-			return true
-		}
-		if rc.victim != nil && rc.victim.Probe(blk) {
-			return true
-		}
-	}
-	return false
 }
 
 // --- conventional hierarchy path ---
@@ -992,19 +1185,7 @@ func (c *coreCtx) l1Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write b
 	// and the directory entry dropped — so no SDC copy can linger
 	// untracked and go stale once the hierarchy owns the line.
 	if s.sdcDir != nil {
-		var sharers uint64
-		if c.bw != nil {
-			// Bound phase: the directory question for our own block is
-			// answered by our own SDC (the only possible sharer); the
-			// stats/LRU-bearing lookup replays in the weave.
-			c.bwDirLookup(blk, t)
-			if c.sdc != nil && c.sdc.Probe(blk) {
-				sharers = 1 << c.id
-			}
-		} else if sh, _, ok := s.sdcDir.Lookup(blk); ok {
-			sharers = sh
-		}
-		if sharers&(1<<c.id) != 0 {
+		if sharers, _ := c.dom.dirLookup(c, blk, t); sharers&(1<<c.id) != 0 {
 			ready := t + s.sdcDir.Latency() + c.sdc.Latency()
 			var ver uint64
 			if c.chk != nil {
@@ -1026,11 +1207,7 @@ func (c *coreCtx) l1Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write b
 					anyDirty = true
 				}
 			}
-			if c.bw != nil {
-				c.bwDirInvalidateAll(blk, t)
-			} else {
-				s.sdcDir.InvalidateAll(blk)
-			}
+			c.dom.dirInvalidateAll(c, blk, t)
 			if c.chk != nil {
 				if write {
 					ver = c.chk.StoreAbsorbed(blk)
@@ -1115,27 +1292,7 @@ func (c *coreCtx) writebackToL2(blk mem.BlockAddr, now int64, ver uint64) {
 		c.l2.SetVer(blk, ver)
 	}
 	if v.Valid && v.Dirty {
-		c.writebackToLLC(v.Blk, now, v.Ver)
-	}
-}
-
-func (c *coreCtx) writebackToLLC(blk mem.BlockAddr, now int64, ver uint64) {
-	if c.bw != nil {
-		c.bw.logEv(bwEvent{kind: bwEvLLCWB, t: now, blk: blk, ver: ver})
-		c.bwOverlaySet(blk, true, ver)
-		return
-	}
-	s := c.sys
-	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, true, false, now)
-	s.llc.Stats.Writebacks++
-	if c.chk != nil {
-		s.llc.SetVer(blk, ver)
-	}
-	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, now)
-		if c.chk != nil {
-			c.chk.DRAMWrite(v.Blk, v.Ver)
-		}
+		c.dom.llcWriteback(c, v.Blk, now, v.Ver)
 	}
 }
 
@@ -1168,14 +1325,14 @@ func (c *coreCtx) l2Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write, 
 			}
 			t = m.Allocate(blk, t)
 		}
-		resp = c.llcAccess(blk, addr, size, write, pf, t)
+		resp = c.dom.llcRead(c, blk, addr, size, pf, t)
 		v := c.l2.Fill(blk, addr, size, false, false, resp.Ready)
 		if c.chk != nil {
-			// llcAccess left the delivered version in verScratch.
+			// llcRead left the delivered version in verScratch.
 			c.l2.SetVer(blk, c.verScratch)
 		}
 		if v.Valid && v.Dirty {
-			c.writebackToLLC(v.Blk, resp.Ready, v.Ver)
+			c.dom.llcWriteback(c, v.Blk, resp.Ready, v.Ver)
 		}
 		if m := c.l2.MSHR(); m != nil {
 			m.Complete(blk, resp.Ready)
@@ -1184,7 +1341,7 @@ func (c *coreCtx) l2Access(blk mem.BlockAddr, addr mem.Addr, size uint8, write, 
 
 	// Prefetches launch at the demand's L2-lookup point, never at its
 	// completion time (see sdcAccess for why). They recurse into
-	// llcAccess and clobber verScratch with their own blocks' versions,
+	// llcRead and clobber verScratch with their own blocks' versions,
 	// so the demand's delivered version is restored for the caller.
 	dv := c.verScratch
 	for _, cand := range cands {
@@ -1208,14 +1365,14 @@ func (c *coreCtx) l2Prefetch(blk mem.BlockAddr, now int64) {
 		}
 		m.Allocate(blk, now)
 	}
-	resp := c.llcAccess(blk, blk.Addr(), mem.BlockSize, false, true, now)
+	resp := c.dom.llcRead(c, blk, blk.Addr(), mem.BlockSize, true, now)
 	v := c.l2.Fill(blk, blk.Addr(), mem.BlockSize, false, true, resp.Ready)
 	c.l2.MarkPrefetchFill()
 	if c.chk != nil {
 		c.l2.SetVer(blk, c.verScratch)
 	}
 	if v.Valid && v.Dirty {
-		c.writebackToLLC(v.Blk, resp.Ready, v.Ver)
+		c.dom.llcWriteback(c, v.Blk, resp.Ready, v.Ver)
 	}
 	if m := c.l2.MSHR(); m != nil {
 		m.Complete(blk, resp.Ready)
@@ -1253,158 +1410,6 @@ func (c *coreCtx) l1Prefetch(blk mem.BlockAddr, now int64) {
 	}
 }
 
-func (c *coreCtx) llcAccess(blk mem.BlockAddr, addr mem.Addr, size uint8, write, pf bool, issue int64) mem.Response {
-	if c.bw != nil {
-		return c.bwLLCAccess(blk, addr, size, pf, issue)
-	}
-	s := c.sys
-	res := s.llc.Lookup(blk, addr, size, false, pf, issue)
-	if res.Hit {
-		if c.chk != nil {
-			c.verScratch = s.llc.VerOf(blk)
-		}
-		return mem.Response{Ready: res.ReadyAt, Source: mem.ServedLLC}
-	}
-	t := res.ReadyAt
-	if m := s.llc.MSHR(); m != nil {
-		if ready, inflight := m.Lookup(blk, t); inflight {
-			s.llc.Stats.MergedMSHR++
-			c.verScratch = 0 // merged: delivered version unknown
-			return mem.Response{Ready: max64(ready, t), Source: mem.ServedDRAM}
-		}
-		t = m.Allocate(blk, t)
-	}
-
-	// Directory: a remote private cache or any SDC may hold the block.
-	ready := int64(0)
-	src := mem.ServedDRAM
-	var ver uint64
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
-			// Transfer from an SDC; invalidate the copies so the
-			// hierarchy becomes the owner.
-			for i := range s.cores {
-				if sharers&(1<<i) == 0 || s.cores[i].sdc == nil {
-					continue
-				}
-				if c.chk != nil && ver == 0 {
-					ver = s.cores[i].sdc.VerOf(blk)
-				}
-				if present, dirty := s.cores[i].sdc.Invalidate(blk); present && dirty {
-					s.dram.Access(blk, true, t)
-					if c.chk != nil {
-						c.chk.DRAMWrite(blk, ver)
-					}
-				}
-			}
-			s.sdcDir.InvalidateAll(blk)
-			ready = t + s.sdcDir.Latency() + s.cfg.DirLatency/8
-			src = mem.ServedSDC
-		}
-	}
-	if src == mem.ServedDRAM {
-		for i := range s.cores {
-			rc := s.cores[i]
-			if rc.id == c.id {
-				continue
-			}
-			if rc.l1d.Probe(blk) || (rc.victim != nil && rc.victim.Probe(blk)) || rc.l2.Probe(blk) {
-				if c.chk != nil {
-					// Topmost remote copy carries the newest version.
-					for _, ch := range []*cache.Cache{rc.l1d, rc.victim, rc.l2} {
-						if ch == nil {
-							continue
-						}
-						if v := ch.VerOf(blk); v != 0 {
-							ver = v
-							break
-						}
-					}
-				}
-				ready = t + s.cfg.DirLatency/2
-				src = mem.ServedRemote
-				break
-			}
-		}
-	}
-	if src == mem.ServedDRAM {
-		ready = s.dram.Access(blk, false, t)
-		if c.chk != nil {
-			ver = c.chk.DRAMRead(blk)
-		}
-	}
-
-	v := s.llc.Fill(blk, addr, size, false, false, ready)
-	if c.chk != nil {
-		s.llc.SetVer(blk, ver)
-		c.verScratch = ver
-	}
-	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		if c.chk != nil {
-			c.chk.DRAMWrite(v.Blk, v.Ver)
-		}
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(blk, ready)
-	}
-
-	// Cross-core LLC prefetcher (the "pickle" preset): it observes the
-	// demand-miss stream of every core right here and issues precise
-	// prefetches into the shared level. Its fills recurse into
-	// chk.DRAMRead and clobber verScratch, so the demand's delivered
-	// version is restored for the caller.
-	if s.llcpf != nil && !pf {
-		s.llcPfBuf = s.llcpf.OnAccess(mem.AccessInfo{PC: c.curPC, Addr: addr, Blk: blk, Core: c.id}, s.llcPfBuf[:0])
-		dv := c.verScratch
-		for _, cand := range s.llcPfBuf {
-			c.llcPrefetch(cand, t)
-		}
-		c.verScratch = dv
-	}
-	return mem.Response{Ready: ready, Source: src}
-}
-
-// llcPrefetch fetches a cross-core candidate into the shared LLC. The
-// block must be absent from the whole hierarchy (a shared-level fill
-// above a private dirty copy would shadow it in lookup order) and from
-// every SDC (the SDCDir owns those blocks).
-func (c *coreCtx) llcPrefetch(blk mem.BlockAddr, now int64) {
-	s := c.sys
-	if c.anyCacheHolds(blk) {
-		return
-	}
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
-			return
-		}
-	}
-	if m := s.llc.MSHR(); m != nil {
-		if _, inflight := m.Lookup(blk, now); inflight {
-			return
-		}
-		if m.Outstanding(now) >= m.Capacity() {
-			return
-		}
-		m.Allocate(blk, now)
-	}
-	ready := s.dram.Access(blk, false, now)
-	v := s.llc.Fill(blk, blk.Addr(), mem.BlockSize, false, true, ready)
-	s.llc.MarkPrefetchFill()
-	if c.chk != nil {
-		s.llc.SetVer(blk, c.chk.DRAMRead(blk))
-	}
-	if v.Valid && v.Dirty {
-		s.dram.Access(v.Blk, true, ready)
-		if c.chk != nil {
-			c.chk.DRAMWrite(v.Blk, v.Ver)
-		}
-	}
-	if m := s.llc.MSHR(); m != nil {
-		m.Complete(blk, ready)
-	}
-}
-
 // CheckInvariants runs one structural invariant sweep over every cache
 // and the SDCDir (see internal/check/invariants.go). It is a no-op
 // unless the run is at check.Full; the runner calls it every
@@ -1430,7 +1435,7 @@ func (s *System) CheckInvariants() {
 	}
 	if s.sdcDir != nil {
 		k.CheckSDCDir(s.sdcDir, sdcs, func(blk mem.BlockAddr) bool {
-			return s.cores[0].anyCacheHolds(blk)
+			return s.anyCacheHolds(blk)
 		})
 	}
 }

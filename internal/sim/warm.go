@@ -143,7 +143,7 @@ func (c *coreCtx) warmSDCPrefetch(blk mem.BlockAddr) {
 	if _, _, held := s.sdcDir.WarmLookup(blk); held {
 		return
 	}
-	if c.anyCacheHolds(blk) {
+	if s.anyCacheHolds(blk) {
 		return
 	}
 	s.dram.WarmTouch(blk)
