@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"graphmem/internal/check"
+	"graphmem/internal/sample"
 	"graphmem/internal/stats"
 )
 
@@ -25,7 +26,9 @@ func engineDigest(perCore []stats.CoreStats, sum check.Summary) string {
 
 // TestEngineGolden pins the simulated counters of both multi-core
 // engines, and of the single-core and sampled paths, to committed
-// digests. The single-core goldens (tab1_bench.golden,
+// digests. Sampled cells warmed into a checkpoint store carry a second
+// digest, over the checkpoint payload, which pins the state functional
+// warming leaves behind. The single-core goldens (tab1_bench.golden,
 // golden_prefetch.txt) never run more than one core, so this is the
 // gate that catches a shared-domain (LLC/DRAM/SDCDir) protocol change
 // on the serial interleaver or the bound–weave replay.
@@ -80,6 +83,31 @@ func TestEngineGolden(t *testing.T) {
 	r := RunSingleCore(sampledCfg().WithSDCLP(), kronWorkload(t, "cc", 19))
 	line("sampled/sdclp", engineDigest([]stats.CoreStats{r.Stats}, r.Check))
 
+	// Sampled cells through every functional-warming path: the L1D
+	// path with and without prefetchers, the SDC, bypass and expert
+	// routes, the victim cache and L2 distillation.
+	sampled := sampledCfg()
+	for _, c := range []struct {
+		name, kernel string
+		cfg          Config
+	}{
+		{"baseline", "pr", sampled},
+		{"sdclp", "pr", sampled.WithSDCLP()},
+		{"bypass", "cc", sampled.WithBypassOnly()},
+		{"expert", "cc", sampled.WithExpert()},
+		{"victim8", "cc", sampled.WithVictimCache(8)},
+		{"distill", "cc", sampled.WithDistill()},
+		{"pfnone", "pr", sampled.WithPrefetchers("none")},
+	} {
+		st, err := sample.NewStore(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := RunSingleCore(c.cfg.WithCheckpointStore(st), kronWorkload(t, c.kernel, 19))
+		line("sampled/"+c.kernel+"-"+c.name,
+			engineDigest([]stats.CoreStats{r.Stats}, r.Check)+" ckpt "+checkpointDigest(t, st))
+	}
+
 	path := filepath.Join("testdata", "engines.golden")
 	want, err := os.ReadFile(path)
 	if err != nil {
@@ -88,4 +116,23 @@ func TestEngineGolden(t *testing.T) {
 	if got.String() != string(want) {
 		t.Fatalf("engine digests diverged from %s.\ngot:\n%s\nwant:\n%s", path, got.String(), want)
 	}
+}
+
+// checkpointDigest hashes the one warm-up checkpoint payload a
+// capturing run published to st.
+func checkpointDigest(t *testing.T, st *sample.Store) string {
+	t.Helper()
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("checkpoint store holds %d entries (err %v), want 1", len(entries), err)
+	}
+	file, err := os.ReadFile(filepath.Join(st.Dir(), entries[0].Name()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := sample.Decode(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(payload))[:32]
 }
