@@ -1,14 +1,8 @@
-// Functional-warming fast paths and the µarch-state codec used by the
-// statistical sampling engine (internal/sample, ROADMAP item 2).
-//
-// The warm methods are deliberate duplicates of Lookup/Fill minus
-// everything timing- or statistics-related: they perform exactly the
-// tag, recency, used-word, dirty-bit, and replacement-policy
-// transitions a detailed access would, but bump no counters, consult no
-// MSHRs, and carry no timestamps. Keeping them separate (rather than
-// threading a warm flag through the hot path) leaves the detailed path
-// branch-for-branch identical to today, which the byte-identity
-// contract of sampling-off runs depends on.
+// The µarch-state codec used by the warm-up checkpoints of the
+// statistical sampling engine (internal/sample). Functional warming
+// itself drives the cache through Lookup and Fill like a detailed run;
+// only the state they leave behind is serialized here, never the
+// statistics.
 package cache
 
 import (
@@ -17,86 +11,6 @@ import (
 
 	"graphmem/internal/mem"
 )
-
-// WarmLookup performs a stat-free, timing-free demand lookup: recency,
-// used-word and dirty state advance exactly as in Lookup, but no
-// hit/miss counters move. It reports whether the block hit so the
-// caller can walk the warm access down the hierarchy on a miss.
-func (c *Cache) WarmLookup(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) bool {
-	set := c.set(c.setIndex(blk))
-	for w := range set {
-		ln := &set[w]
-		if !ln.Valid || ln.Blk != blk {
-			continue
-		}
-		wm := wordMask(addr, size)
-		if ln.WOC {
-			if ln.Used&wm != wm {
-				continue
-			}
-		}
-		c.lruClock++
-		ln.lru = c.lruClock
-		ln.Used |= wm
-		if write {
-			ln.Dirty = true
-		}
-		c.policy.OnHit(c, blk, set, w)
-		return true
-	}
-	return false
-}
-
-// WarmFill performs a stat-free fill: identical victim selection,
-// distillation insert and policy update to Fill, but no eviction or
-// writeback counters and a zero fill-completion time (functional
-// warming never advances the clock). The victim is returned so the
-// caller can propagate warm writebacks and directory transitions.
-func (c *Cache) WarmFill(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) Victim {
-	si := c.setIndex(blk)
-	set := c.set(si)
-	for w := range set {
-		if set[w].Valid && set[w].Blk == blk && !set[w].WOC {
-			set[w].ReadyAt = 0
-			if write {
-				set[w].Dirty = true
-			}
-			return Victim{}
-		}
-	}
-	lastLOC := len(set)
-	if c.cfg.Distill {
-		lastLOC = len(set) - c.cfg.DistillWOCWays
-	}
-	way := -1
-	for w := 0; w < lastLOC; w++ {
-		if !set[w].Valid {
-			way = w
-			break
-		}
-	}
-	var v Victim
-	if way < 0 {
-		way = c.policy.Victim(c, blk, set[:lastLOC])
-		ln := &set[way]
-		v = Victim{Valid: true, Blk: ln.Blk, Dirty: ln.Dirty, Used: ln.Used, Ver: ln.Ver}
-		ln.Valid = false
-		if c.cfg.Distill {
-			c.distillInsert(si, v)
-		}
-	}
-	c.lruClock++
-	ln := &set[way]
-	*ln = Line{
-		Blk:   blk,
-		Valid: true,
-		Dirty: write,
-		Used:  wordMask(addr, size),
-		lru:   c.lruClock,
-	}
-	c.policy.OnFill(c, blk, set[:lastLOC], way)
-	return v
-}
 
 // lineBytes is the serialized size of one Line: block address, packed
 // flags, fill time, used-word mask, RRPV, checker version, LRU stamp.

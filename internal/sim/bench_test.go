@@ -74,16 +74,22 @@ func BenchmarkPRKronStepSDCLP(b *testing.B) {
 
 // TestHotLoopZeroAllocs pins the steady-state record loop at zero
 // allocations per record: any regression here shows up long before it
-// is visible in wall-clock.
+// is visible in wall-clock. The sampled configs never leave their
+// warm-up (steadyCtx's windows never close), so they pin the
+// functional-warming loop.
 func TestHotLoopZeroAllocs(t *testing.T) {
 	recs := prRecords(t, 1<<18)
 	base := TableI(1).BenchScale()
+	sampled := base.WithSampling(50_000, 5_000, 10_000)
 	for _, cfg := range []Config{
 		base,
 		base.WithSDCLP(),
 		base.WithBypassOnly(),
 		base.WithExpert(),
 		base.WithVictimCache(8).WithPrefetchers("pickle"),
+		sampled,
+		sampled.WithSDCLP(),
+		sampled.WithBypassOnly(),
 	} {
 		c := steadyCtx(t, cfg)
 		for _, r := range recs[:1<<16] {
@@ -95,7 +101,8 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 			i++
 		})
 		if avg != 0 {
-			t.Errorf("%s: steady-state observe allocates %.2f/record, want 0", cfg.Name, avg)
+			t.Errorf("%s (sampled %v): steady-state observe allocates %.2f/record, want 0",
+				cfg.Name, cfg.Sampling.Enabled(), avg)
 		}
 	}
 }

@@ -122,7 +122,7 @@ func (c *coreCtx) resumeFromCheckpoint() {
 // sweep varying only those shares one warm-up.
 func warmKey(cfg Config, workload string) string {
 	conf := fmt.Sprintf(
-		"cores%d|route%d|l1d%d/%d,m%v|vc%d|l2%d/%d,m%v,dist%v/%d|llc%d/%d,m%v,topt%v,rrip%v,popt%v|sdc%d/%d,m%v|lp%d/%d/%d,ad%v|dir%d/%d|dram%+v,ch%d|pf%v|warm%d|mis%v",
+		"cores%d|route%d|l1d%d/%d,m%v|vc%d|l2%d/%d,m%v,dist%v/%d|llc%d/%d,m%v,topt%v,rrip%v,popt%v|sdc%d/%d,m%v|lp%d/%d/%d,ad%v|dir%d/%d|dram%+v,ch%d|warm%d|mis%v",
 		cfg.Cores, cfg.Routing,
 		cfg.L1D.SizeBytes, cfg.L1D.Ways, cfg.L1D.MSHRs > 0,
 		cfg.VictimEntries,
@@ -132,13 +132,12 @@ func warmKey(cfg Config, workload string) string {
 		cfg.LP.Entries, cfg.LP.Ways, cfg.LP.Tau, cfg.LPAdaptive,
 		cfg.SDCDirEntriesPerCore, cfg.SDCDirWays,
 		cfg.DRAM, cfg.DRAMChannels,
-		cfg.NoPrefetch, cfg.Warmup, cfg.Sampling.MisWarm,
+		cfg.Warmup, cfg.Sampling.MisWarm,
 	)
 	// The prefetcher preset shapes the warm state (which prefetchers
-	// filled what); it extends the key only when non-default so every
-	// existing checkpoint address survives. BranchMissPenalty is
-	// timing-only and deliberately absent: all penalty sweeps share one
-	// warm-up.
+	// filled what); it extends the key only when non-default.
+	// BranchMissPenalty is timing-only and deliberately absent: all
+	// penalty sweeps share one warm-up.
 	if cfg.Prefetchers != "" {
 		conf += "|pfset" + cfg.Prefetchers
 	}

@@ -99,16 +99,13 @@ type Config struct {
 	// coherence checks (the directory is co-located with the LLC).
 	DirLatency int64
 
-	// NoPrefetch disables every hardware prefetcher (ablation).
-	NoPrefetch bool
-
 	// Prefetchers selects a named prefetcher preset for the competitive
 	// baseline suite: "" (the default, Table I's next-line + SPP),
 	// "none", "nextline", "spp" (the default wiring, spelled out),
 	// "stride" (PC-keyed stride detector at the L2), "imp"
 	// (indirect-memory prefetcher on the demand-load stream), "pickle"
-	// (cross-core LLC prefetcher) or "spp+imp". NoPrefetch wins when
-	// both are set. Unknown names panic in NewSystem.
+	// (cross-core LLC prefetcher) or "spp+imp". Unknown names panic in
+	// NewSystem.
 	Prefetchers string
 
 	// BranchMissPenalty, when positive, injects pipeline-refill stalls
@@ -483,7 +480,7 @@ func (c Config) WithVictimCache(entries int) Config {
 // prefetching.
 func (c Config) WithoutPrefetchers() Config {
 	c.Name += " noPF"
-	c.NoPrefetch = true
+	c.Prefetchers = "none"
 	return c
 }
 

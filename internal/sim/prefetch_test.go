@@ -8,20 +8,6 @@ import (
 	"graphmem/internal/prefetch"
 )
 
-// TestPrefetchOffIsBitIdentical pins the preset plumbing's
-// zero-perturbation contract: Prefetchers "none" wires exactly what
-// NoPrefetch wires, so the two runs must produce bit-identical
-// counters.
-func TestPrefetchOffIsBitIdentical(t *testing.T) {
-	cfg := TableI(1).BenchScale().WithWindows(100_000, 500_000)
-	off := RunSingleCore(cfg.WithoutPrefetchers(), kronWorkload(t, "pr", 19))
-	preset := RunSingleCore(cfg.WithPrefetchers("none"), kronWorkload(t, "pr", 19))
-	if !reflect.DeepEqual(off.Stats, preset.Stats) {
-		t.Fatalf("Prefetchers \"none\" differs from NoPrefetch:\nnoPF:   %+v\npreset: %+v",
-			off.Stats, preset.Stats)
-	}
-}
-
 // TestPrefetchDefaultPresetIsBitIdentical pins that spelling out the
 // default wiring ("spp") changes nothing against the empty preset.
 func TestPrefetchDefaultPresetIsBitIdentical(t *testing.T) {

@@ -57,8 +57,9 @@ type System struct {
 	llcPfBuf []mem.BlockAddr
 
 	// warming is true while the sampling engine is functionally warming
-	// (never set for unsampled runs): shared-state callbacks that issue
-	// timed DRAM traffic (onSDCDirEvict) switch to warm row touches.
+	// (never set for unsampled runs): the direct dramWrite, which every
+	// write-back the warm walk shares with the detailed one ends in,
+	// then touches the row instead of issuing timed DRAM traffic.
 	warming bool
 
 	// Observer, when set, sees demand loads in the measure window.
@@ -178,7 +179,7 @@ type coreCtx struct {
 // warmMode values.
 const (
 	warmOff        = iota // detailed simulation (the only mode when sampling is off)
-	warmFunctional        // functional warming: tags/recency/row state, no timing or stats
+	warmFunctional        // functional warming: tags/recency/row state, no timing
 	warmDrain             // checkpoint resume: count instructions only, touch nothing
 )
 
@@ -310,8 +311,7 @@ func NewSystem(cfg Config, ws []Workload) *System {
 		}
 		// Prefetcher wiring: the default is Table I's (next-line at the
 		// L1D/SDC, SPP at the L2); cfg.Prefetchers swaps in one of the
-		// competitive baseline presets, and cfg.NoPrefetch (the
-		// historical knob) still forces everything off.
+		// competitive baseline presets or turns every prefetcher off.
 		c.l1pf = prefetch.NextLine{}
 		c.l2pf = prefetch.NewSPP()
 		switch cfg.Prefetchers {
@@ -337,13 +337,6 @@ func NewSystem(cfg Config, ws []Workload) *System {
 			c.imppf = prefetch.NewIMP()
 		default:
 			panic(fmt.Sprintf("sim: unknown prefetcher preset %q", cfg.Prefetchers))
-		}
-		if cfg.NoPrefetch {
-			c.l1pf = prefetch.None{}
-			c.sdcpf = prefetch.None{}
-			c.noSPP = true
-			c.imppf = nil
-			s.llcpf = nil
 		}
 		ptBase := mem.Addr(uint64(i)<<mem.CoreSpaceBits) + ptOffset
 		cc := c
@@ -379,9 +372,8 @@ func NewSystem(cfg Config, ws []Workload) *System {
 
 // onSDCDirEvict implements the SDCDir replacement semantics of Section
 // III-C: every SDC in sharers invalidates the block, writing it back to
-// DRAM at its core's clock if dirty. Under functional warming the
-// write-back becomes a timeless row touch. The bound–weave engine calls
-// it at the end of each weave for the evictions its replay deferred.
+// DRAM at its core's clock if dirty. The bound–weave engine calls it at
+// the end of each weave for the evictions its replay deferred.
 func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 	for i, c := range s.cores {
 		if sharers&(1<<i) == 0 || c.sdc == nil {
@@ -392,11 +384,7 @@ func (s *System) onSDCDirEvict(blk mem.BlockAddr, sharers uint64) {
 			ver = c.sdc.VerOf(blk)
 		}
 		if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-			if s.warming {
-				s.dram.WarmTouch(blk)
-			} else {
-				s.dramWrite(c, blk, c.cpuCore.Cycle(), ver)
-			}
+			s.dramWrite(c, blk, c.cpuCore.Cycle(), ver)
 		}
 	}
 }
@@ -675,7 +663,13 @@ func (s *System) dramRead(_ *coreCtx, blk mem.BlockAddr, t int64, _ bool) int64 
 	return s.dram.Access(blk, false, t)
 }
 
+// dramWrite posts a timed write-back; under functional warming it is
+// a timeless row touch instead.
 func (s *System) dramWrite(_ *coreCtx, blk mem.BlockAddr, t int64, ver uint64) {
+	if s.warming {
+		s.dram.WarmTouch(blk)
+		return
+	}
 	s.dram.Access(blk, true, t)
 	if k := s.chkOf(blk); k != nil {
 		k.DRAMWrite(blk, ver)

@@ -1,17 +1,20 @@
 // Functional warming for the statistical sampling engine
 // (internal/sample): the warm-up window and the gaps between detailed
-// samples replay the record stream through stat-free, timing-free
-// mirrors of the routing paths in system.go. Tags, recency, dirty
-// bits, predictor and directory state and DRAM open rows evolve exactly
-// as a detailed run's would at the structural level; MSHRs,
-// prefetchers, latencies and every Stats counter stay untouched, which
-// is what keeps per-sample counter deltas clean and the warm-up
-// checkpoint payload small.
+// samples replay the record stream through timing-free entry points
+// into the routing paths of system.go. The entry points call the same
+// component operations and the same fill, write-back and SDC-transfer
+// helpers as the detailed walk, with every time and checker version 0,
+// so tags, recency, dirty bits, predictor and directory state and DRAM
+// open rows evolve exactly as a detailed run's would. MSHRs,
+// prefetchers other than the next-line ones, and latencies stay
+// untouched. Counters do move while warming, but never enter a sample:
+// every sampled counter is the difference of two snapshots taken in
+// detailed mode, and checkpoints encode no counters.
 //
-// The mirrors assume the single-core machine the sampler is restricted
-// to (NewSystem panics otherwise): no remote SDCs or private caches
-// exist, so the remote-probe arms of the detailed paths are dead and
-// deliberately not mirrored.
+// The entry points assume the single-core machine the sampler is
+// restricted to (NewSystem panics otherwise): no remote SDCs or private
+// caches exist, so the remote-probe arms of the detailed paths are dead
+// and deliberately not mirrored.
 package sim
 
 import (
@@ -45,7 +48,7 @@ func (c *coreCtx) warmObserve(r trace.Record) bool {
 }
 
 // warmTouch mirrors coreCtx.access: translation, LP/expert routing, and
-// the chosen data path, all through the warm methods.
+// the chosen data path.
 func (c *coreCtx) warmTouch(r trace.Record) {
 	blk := r.Addr.Block()
 	c.tlbs.WarmTranslate(r.Addr.Page(), c.warmWalkFn)
@@ -53,7 +56,7 @@ func (c *coreCtx) warmTouch(r trace.Record) {
 	averse := false
 	switch c.sys.cfg.Routing {
 	case RouteLP, RouteBypass:
-		averse = c.lp.WarmPredictAndUpdate(r.PC, blk)
+		averse = c.lp.PredictAndUpdate(r.PC, blk)
 	case RouteExpert:
 		averse = c.isIrregular(r.Addr)
 	}
@@ -70,59 +73,49 @@ func (c *coreCtx) warmTouch(r trace.Record) {
 // warmBypass mirrors bypassAccess: serve from whatever level holds the
 // block, else touch the DRAM row; nothing allocates.
 func (c *coreCtx) warmBypass(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
-	if c.l1d.WarmLookup(blk, addr, size, write) {
-		return
-	}
-	if c.l2.WarmLookup(blk, addr, size, write) {
-		return
-	}
-	if c.sys.llc.WarmLookup(blk, addr, size, write) {
+	if c.l1d.Lookup(blk, addr, size, write, false, 0).Hit ||
+		c.l2.Lookup(blk, addr, size, write, false, 0).Hit ||
+		c.sys.llc.Lookup(blk, addr, size, write, false, 0).Hit {
 		return
 	}
 	c.sys.dram.WarmTouch(blk)
 }
 
-// warmSDC mirrors sdcAccess minus MSHRs and the next-line prefetch.
+// warmSDC mirrors sdcAccess minus MSHRs.
 func (c *coreCtx) warmSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
 	s := c.sys
-	if c.sdc.WarmLookup(blk, addr, size, write) {
+	if c.sdc.Lookup(blk, addr, size, write, false, 0).Hit {
 		if write {
-			s.sdcDir.WarmAddSharer(blk, c.id, true)
+			s.sdcDir.AddSharer(blk, c.id, true)
 		}
 		return
 	}
 	// Miss. The directory may still track a copy (e.g. a WOC alias that
 	// could not serve this word mask).
-	if sharers, _, ok := s.sdcDir.WarmLookup(blk); ok && sharers != 0 {
+	if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers != 0 {
 		if write {
 			if present, dirty := c.sdc.Invalidate(blk); present && dirty {
 				s.dram.WarmTouch(blk)
 			}
 			s.sdcDir.InvalidateAll(blk)
 		}
-		c.warmFillSDC(blk, addr, size, write)
+		c.fillSDC(blk, addr, size, write, 0, 0)
 		return
 	}
 	// The hierarchy may hold it: reads are served in place (the detailed
 	// path's pure probes change no state, so there is nothing to mirror);
 	// writes purge every copy and take SDC ownership.
-	if held := c.l1d.Probe(blk) ||
-		(c.victim != nil && c.victim.Probe(blk)) ||
-		c.l2.Probe(blk) || s.llc.Probe(blk); held {
+	if top, _ := c.privateCopy(blk); top != nil || s.llc.Probe(blk) {
 		if write {
 			s.llc.Invalidate(blk)
-			c.l1d.Invalidate(blk)
-			if c.victim != nil {
-				c.victim.Invalidate(blk)
-			}
-			c.l2.Invalidate(blk)
-			c.warmFillSDC(blk, addr, size, true)
+			c.purgePrivate(blk)
+			c.fillSDC(blk, addr, size, true, 0, 0)
 		}
 		return
 	}
 	// DRAM, bypassing L2 and LLC.
 	s.dram.WarmTouch(blk)
-	c.warmFillSDC(blk, addr, size, write)
+	c.fillSDC(blk, addr, size, write, 0, 0)
 	// Next-line prefetch into the SDC, exactly when the detailed path
 	// issues one (a miss served from DRAM). Skipping prefetchers during
 	// warming would leave the SDC tags systematically short of the
@@ -140,54 +133,41 @@ func (c *coreCtx) warmSDCPrefetch(blk mem.BlockAddr) {
 	if c.sdc.Probe(blk) {
 		return
 	}
-	if _, _, held := s.sdcDir.WarmLookup(blk); held {
+	if _, _, held := s.sdcDir.Lookup(blk); held {
 		return
 	}
 	if s.anyCacheHolds(blk) {
 		return
 	}
 	s.dram.WarmTouch(blk)
-	c.warmFillSDC(blk, blk.Addr(), mem.BlockSize, false)
+	c.fillSDC(blk, blk.Addr(), mem.BlockSize, false, 0, 0)
 }
 
-// warmFillSDC mirrors fillSDC: insert, handle the victim's directory
-// exit and dirty row touch, record the sharer.
-func (c *coreCtx) warmFillSDC(blk mem.BlockAddr, addr mem.Addr, size uint8, dirty bool) {
-	s := c.sys
-	v := c.sdc.WarmFill(blk, addr, size, dirty)
-	if v.Valid {
-		s.sdcDir.RemoveSharer(v.Blk, c.id)
-		if v.Dirty {
-			s.dram.WarmTouch(v.Blk)
-		}
-	}
-	s.sdcDir.WarmAddSharer(blk, c.id, dirty)
-}
-
-// warmL1 mirrors l1Access minus MSHRs and prefetchers.
+// warmL1 mirrors l1Access minus MSHRs, SPP and the indirect
+// prefetchers.
 func (c *coreCtx) warmL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
 	s := c.sys
-	if c.l1d.WarmLookup(blk, addr, size, write) {
+	if c.l1d.Lookup(blk, addr, size, write, false, 0).Hit {
 		return
 	}
 	if c.victim != nil {
 		if present, dirty := c.victim.ProbeDirty(blk); present {
 			c.victim.Invalidate(blk)
-			c.warmFillL1(blk, addr, size, write || dirty)
+			c.fillL1(blk, addr, size, write || dirty, 0, 0)
 			return
 		}
 	}
 	// SDC transfer: the whole SDC domain gives the block up.
 	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.WarmLookup(blk); ok && sharers&(1<<c.id) != 0 {
+		if sharers, _, ok := s.sdcDir.Lookup(blk); ok && sharers&(1<<c.id) != 0 {
 			_, dirty := c.sdc.Invalidate(blk)
 			s.sdcDir.InvalidateAll(blk)
-			c.warmFillL1(blk, addr, size, write || dirty)
+			c.fillL1(blk, addr, size, write || dirty, 0, 0)
 			return
 		}
 	}
 	c.warmL2(blk, addr, size)
-	c.warmFillL1(blk, addr, size, write)
+	c.fillL1(blk, addr, size, write, 0, 0)
 	// Next-line prefetcher on the demand miss, as in l1Access.
 	c.pfBuf = c.l1pf.OnAccess(mem.AccessInfo{Blk: blk, Addr: addr, Core: c.id}, c.pfBuf[:0])
 	for _, cand := range c.pfBuf {
@@ -201,81 +181,33 @@ func (c *coreCtx) warmL1Prefetch(blk mem.BlockAddr) {
 		return
 	}
 	c.warmL2(blk, blk.Addr(), mem.BlockSize)
-	c.warmFillL1(blk, blk.Addr(), mem.BlockSize, false)
-}
-
-// warmFillL1 mirrors fillL1's victim cascade.
-func (c *coreCtx) warmFillL1(blk mem.BlockAddr, addr mem.Addr, size uint8, write bool) {
-	v := c.l1d.WarmFill(blk, addr, size, write)
-	if !v.Valid {
-		return
-	}
-	if c.victim != nil {
-		vv := c.victim.WarmFill(v.Blk, v.Blk.Addr(), mem.BlockSize, v.Dirty)
-		if vv.Valid && vv.Dirty {
-			c.warmWritebackL2(vv.Blk)
-		}
-		return
-	}
-	if v.Dirty {
-		c.warmWritebackL2(v.Blk)
-	}
-}
-
-// warmWritebackL2 mirrors writebackToL2 (allocate-on-write-back).
-func (c *coreCtx) warmWritebackL2(blk mem.BlockAddr) {
-	v := c.l2.WarmFill(blk, blk.Addr(), mem.BlockSize, true)
-	if v.Valid && v.Dirty {
-		c.warmWritebackLLC(v.Blk)
-	}
-}
-
-// warmWritebackLLC mirrors writebackToLLC.
-func (c *coreCtx) warmWritebackLLC(blk mem.BlockAddr) {
-	v := c.sys.llc.WarmFill(blk, blk.Addr(), mem.BlockSize, true)
-	if v.Valid && v.Dirty {
-		c.sys.dram.WarmTouch(v.Blk)
-	}
+	c.fillL1(blk, blk.Addr(), mem.BlockSize, false, 0, 0)
 }
 
 // warmL2 mirrors l2Access's demand path (L2 lookups never carry the
 // write bit — stores dirty the L1 and arrive here as write-backs).
 func (c *coreCtx) warmL2(blk mem.BlockAddr, addr mem.Addr, size uint8) {
-	if c.l2.WarmLookup(blk, addr, size, false) {
+	if c.l2.Lookup(blk, addr, size, false, false, 0).Hit {
 		return
 	}
 	c.warmLLC(blk, addr, size)
-	v := c.l2.WarmFill(blk, addr, size, false)
-	if v.Valid && v.Dirty {
-		c.warmWritebackLLC(v.Blk)
+	if v := c.l2.Fill(blk, addr, size, false, false, 0); v.Valid && v.Dirty {
+		c.sys.llcWriteback(c, v.Blk, 0, 0)
 	}
 }
 
-// warmLLC mirrors llcAccess: an SDC sharer surrenders the block, then
-// the fill happens from wherever the data came.
+// warmLLC mirrors llcServe's coherent fetch: an SDC sharer surrenders
+// the block, else DRAM supplies it, then the LLC fills.
 func (c *coreCtx) warmLLC(blk mem.BlockAddr, addr mem.Addr, size uint8) {
 	s := c.sys
-	if s.llc.WarmLookup(blk, addr, size, false) {
+	if s.llc.Lookup(blk, addr, size, false, false, 0).Hit {
 		return
 	}
-	fromSDC := false
-	if s.sdcDir != nil {
-		if sharers, _, ok := s.sdcDir.WarmLookup(blk); ok && sharers != 0 {
-			if c.sdc != nil {
-				if present, dirty := c.sdc.Invalidate(blk); present && dirty {
-					s.dram.WarmTouch(blk)
-				}
-			}
-			s.sdcDir.InvalidateAll(blk)
-			fromSDC = true
-		}
-	}
-	if !fromSDC {
+	if src, _ := s.llcMissSource(c, blk, 0); src == mem.ServedDRAM {
 		s.dram.WarmTouch(blk)
 	}
-	v := s.llc.WarmFill(blk, addr, size, false)
-	if v.Valid && v.Dirty {
-		s.dram.WarmTouch(v.Blk)
+	if v := s.llc.Fill(blk, addr, size, false, false, 0); v.Valid && v.Dirty {
+		s.dramWrite(c, v.Blk, 0, 0)
 	}
 }
 

@@ -158,40 +158,6 @@ func (h *Hierarchy) Translate(page mem.PageAddr, now int64) int64 {
 	return t
 }
 
-// WarmLookup probes for page's translation updating recency only — the
-// functional-warming fast path (internal/sample). No stats counters
-// move, so a warm-up leaves the TLB tags hot and the counters zero.
-func (t *TLB) WarmLookup(page mem.PageAddr) bool {
-	set := t.set(page)
-	for w := range set {
-		if set[w].valid && set[w].page == page {
-			t.clock++
-			set[w].lru = t.clock
-			return true
-		}
-	}
-	return false
-}
-
-// WarmFill inserts page's translation with the same LRU victim choice
-// as Fill but without the eviction counter.
-func (t *TLB) WarmFill(page mem.PageAddr) {
-	set := t.set(page)
-	way, best := 0, int64(1<<63-1)
-	for w := range set {
-		if !set[w].valid {
-			way = w
-			break
-		}
-		if set[w].lru < best {
-			best = set[w].lru
-			way = w
-		}
-	}
-	t.clock++
-	set[way] = entry{page: page, valid: true, lru: t.clock}
-}
-
 // EncodeState appends the TLB's LRU clock and every entry to buf.
 func (t *TLB) EncodeState(buf []byte) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.entries)))
@@ -239,29 +205,30 @@ func (t *TLB) DecodeState(data []byte) ([]byte, error) {
 // without timing (the warm counterpart of WalkFunc).
 type WarmWalkFunc func(addr mem.Addr)
 
-// WarmTranslate walks page through the TLB hierarchy updating tags and
-// recency only: no latencies, no stats, no Walks count. warmWalk, when
-// non-nil, receives the leaf PTE address on a full miss so the page
+// WarmTranslate is Translate without time: it walks page through the
+// TLB hierarchy with the same lookups and fills, and hands the leaf PTE
+// address to warmWalk (when non-nil) on a full miss, so the page
 // table's footprint warms the data caches exactly as a detailed walk
-// would.
+// would. The Walks count does not move.
 func (h *Hierarchy) WarmTranslate(page mem.PageAddr, warmWalk WarmWalkFunc) {
-	if h.DTLB.WarmLookup(page) {
+	if h.DTLB.Lookup(page) {
 		return
 	}
-	if h.STLB.WarmLookup(page) {
-		h.DTLB.WarmFill(page)
+	if h.STLB.Lookup(page) {
+		h.DTLB.Fill(page)
 		return
 	}
 	if warmWalk != nil {
 		warmWalk(h.PTBase + mem.Addr(uint64(page)*8))
 	}
-	h.STLB.WarmFill(page)
-	h.DTLB.WarmFill(page)
+	h.STLB.Fill(page)
+	h.DTLB.Fill(page)
 }
 
-// EncodeState appends both TLB levels' state to buf. The walk counter
-// is excluded: it is a statistic, and functional warming keeps all
-// statistics at zero.
+// EncodeState appends both TLB levels' state to buf. Statistics (the
+// per-level counters and the walk count) are excluded: a checkpoint
+// carries state, and every sampled counter is a difference of two
+// snapshots taken in detailed simulation.
 func (h *Hierarchy) EncodeState(buf []byte) []byte {
 	buf = h.DTLB.EncodeState(buf)
 	return h.STLB.EncodeState(buf)
